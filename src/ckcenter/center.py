@@ -32,7 +32,12 @@ from .algebra import (
     zero,
 )
 from .graphs import Cycle, Graph
-from .hereditary import classify_atom, finitary_annihilator_lattice, DEFAULT_MAX_VERTICES
+from .hereditary import (
+    DEFAULT_MAX_VERTICES,
+    FinitaryLattice,
+    classify_atom,
+    finitary_annihilator_lattice,
+)
 from .linalg import in_span, rank
 
 
@@ -53,7 +58,8 @@ class CenterReport:
     """Isomorphism type of the center plus explicit verified generators.
 
     The type is C^a x T^b with a scalar summand per C-atom and a Laurent
-    summand per T-atom; generator_labels[i] names generators[i].
+    summand per T-atom; generator_labels[i] names generators[i].  lattice is
+    the finitary lattice the atoms came from; it is not part of the JSON.
     """
 
     graph: Graph
@@ -63,6 +69,7 @@ class CenterReport:
     generators: tuple[AlgebraElement, ...]
     generator_labels: tuple[str, ...]
     verified: bool
+    lattice: FinitaryLattice = field(compare=False, repr=False)
 
     def summand_description(self) -> str:
         return f"C^{self.c_count} x T^{self.t_count}"
@@ -167,6 +174,7 @@ def compute_center(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Center
         generators=tuple(gens),
         generator_labels=tuple(labels),
         verified=verified,
+        lattice=lattice,
     )
 
 

@@ -49,7 +49,6 @@ from .hereditary import (
     annihilator,
     arrival_paths,
     double_annihilator,
-    finitary_annihilator_lattice,
     is_finitary,
 )
 
@@ -98,8 +97,8 @@ def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
 
 def _cmd_analyze(g: Graph, args) -> int:
     simple = is_simple_graph(g)
-    lattice = finitary_annihilator_lattice(g, max_vertices=args.max_vertices)
     report = compute_center(g, max_vertices=args.max_vertices)
+    lattice = report.lattice
     cyc = cycles(g)
     nec = ne_cycles(g)
     payload = {
@@ -310,7 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-vertices",
             type=int,
             default=DEFAULT_MAX_VERTICES,
-            help=f"lattice enumeration guard (default {DEFAULT_MAX_VERTICES})",
+            help=(
+                "vertex guard on the lattice, whose element list can reach 2^|V| sets "
+                f"(default {DEFAULT_MAX_VERTICES})"
+            ),
         )
         p.set_defaults(handler=handler)
         return p

@@ -2,8 +2,9 @@
 
 Vertices and edges carry string identifiers; parallel edges and loops are
 allowed.  Vertex subsets are plain frozensets.  The predicates and closures
-here (descendants, hereditary and saturated sets, cycles, exits, factor
-graphs) form the combinatorial layer the algebraic machinery is built on.
+here (descendants, hereditary and saturated sets, cycles, exits, the
+condensation into strongly connected components, factor graphs) form the
+combinatorial layer the algebraic machinery is built on.
 
 Everything in this module is a pure function of immutable values; nothing
 holds hidden state, so all of it is safe to share across threads.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 VertexSet = frozenset[str]
 
@@ -349,9 +350,104 @@ def exits(g: Graph, cycle: Cycle) -> frozenset[str]:
     return frozenset(e.id for e in g.edges if e.src in on and e.id not in body)
 
 
+class Condensation(NamedTuple):
+    """The strongly connected components of a graph seen from below.
+
+    A terminal component has no edge leaving it; every sink is one.  Bit i
+    of a mask stands for terminal[i].  below[v] is the mask of the terminal
+    components reachable from v, and cycle_masks holds below[v] for the
+    components that contain a cycle (several vertices, or one with a loop).
+    """
+
+    terminal: tuple[tuple[str, ...], ...]
+    below: dict[str, int]
+    cycle_masks: frozenset[int]
+
+
+def condensation(g: Graph) -> Condensation:
+    """Tarjan's strongly connected components, with an explicit stack so
+    that deep graphs cannot exhaust the interpreter's recursion limit.
+
+    Tarjan emits each component after every component it reaches, so one
+    pass in emission order fills in the masks.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    terminal: list[tuple[str, ...]] = []
+    below: dict[str, int] = {}
+    cycle_masks: set[int] = set()
+
+    def close(members: list[str]) -> None:
+        inside = set(members)
+        leaving = [e.dst for v in members for e in g.out_edges(v) if e.dst not in inside]
+        if leaving:
+            mask = 0
+            for w in leaving:
+                mask |= below[w]
+        else:
+            mask = 1 << len(terminal)
+            terminal.append(tuple(members))
+        for v in members:
+            below[v] = mask
+        if len(members) > 1 or any(e.dst == members[0] for e in g.out_edges(members[0])):
+            cycle_masks.add(mask)
+
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g.out_edges(root)))]
+        while work:
+            v, pending = work[-1]
+            for e in pending:
+                w = e.dst
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g.out_edges(w))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        members.append(w)
+                        if w == v:
+                            break
+                    close(members)
+    return Condensation(tuple(terminal), below, frozenset(cycle_masks))
+
+
 def ne_cycles(g: Graph) -> list[Cycle]:
-    """Cycles without exits; their vertex sets are always hereditary."""
-    return [c for c in cycles(g) if not exits(g, c)]
+    """Cycles without exits, sorted by their edge id tuples.
+
+    A cycle has no exit exactly when it is a terminal strongly connected
+    component whose vertices all have out-degree 1, so each one is read off
+    the condensation.  Their vertex sets are always hereditary.
+    """
+    found = []
+    for members in condensation(g).terminal:
+        if all(len(g.out_edges(v)) == 1 for v in members):
+            at = min(members)
+            ids = []
+            for _ in members:
+                (e,) = g.out_edges(at)
+                ids.append(e.id)
+                at = e.dst
+            found.append(Cycle(tuple(ids)))
+    return sorted(found, key=lambda c: c.edges)
 
 
 def find_cycle_within(g: Graph, allowed: Iterable[str]) -> Cycle | None:
@@ -416,7 +512,8 @@ def is_simple_graph(g: Graph) -> SimplicityReport:
     A proper hereditary saturated subset exists iff the saturated closure of
     some vertex's descendants is proper, so scanning vertices suffices.  The
     witness is the smallest such closure (by size, then members); failing
-    that, the first exitless cycle found.
+    that, the exitless cycle.  Without a proper subset there is only one
+    terminal component, so at most one cycle lacks an exit.
     """
     proper = []
     for v in g.vertices:
@@ -425,9 +522,9 @@ def is_simple_graph(g: Graph) -> SimplicityReport:
             proper.append(t)
     if proper:
         return SimplicityReport(False, witness_subset=min(proper, key=set_sort_key))
-    for c in _iter_cycles(g):
-        if not exits(g, c):
-            return SimplicityReport(False, witness_cycle=c)
+    nec = ne_cycles(g)
+    if nec:
+        return SimplicityReport(False, witness_cycle=nec[0])
     return SimplicityReport(True)
 
 

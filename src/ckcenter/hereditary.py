@@ -9,13 +9,17 @@ when a cycle lies in the region outside W from which W is reachable.
 Annihilators W' = {v : no descendant of v lies in W} drive the lattice: the
 double annihilators of arbitrary vertex subsets, filtered down to finitary
 ones, form a finite Boolean algebra whose atoms parametrise the summands of
-the algebra's center.
+the algebra's center.  Both are read off the condensation rather than found
+by search: a double annihilator is the set of vertices all of whose terminal
+strongly connected components lie in a chosen collection, and the atoms come
+from grouping terminal components that lie below a common cycle.  The work
+grows with the size of the lattice, not with 2^|V|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .graphs import (
     Cycle,
@@ -24,6 +28,7 @@ from .graphs import (
     Path,
     SizeLimitError,
     VertexSet,
+    condensation,
     find_cycle_within,
     is_hereditary,
     ne_cycles,
@@ -137,33 +142,49 @@ class FinitaryLattice:
 
 
 def finitary_annihilator_lattice(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> FinitaryLattice:
-    """Enumerate double annihilators of all vertex subsets, keep the finitary
-    ones, and verify the Boolean closure properties.
+    """Build the finitary double annihilators from the condensation, then
+    verify the Boolean closure properties.
 
-    The subset sweep is 2^|V|, guarded by max_vertices.
+    (X')' = W_T for T the terminal components that meet X, so the double
+    annihilators are the W_T.  W_T is finitary unless a cycle outside it
+    reaches it, and such a cycle forces every terminal component below it
+    into T.  Closing {C} under that rule for each terminal component C
+    joins the components below each cycle into one block, so the blocks
+    partition the terminal components, the atoms are their W_T, and the
+    elements are the W_T of the unions of blocks.
+
+    There are 2^(number of atoms) elements, each checked by is_finitary and
+    the closure checks; max_vertices bounds that by 2^|V|.
     """
     n = len(g.vertices)
     if n > max_vertices:
         raise SizeLimitError(
-            f"lattice enumeration needs 2^{n} subsets; pass max_vertices >= {n} to allow it"
+            f"graph has {n} vertices, over the lattice guard of {max_vertices}: its element "
+            f"list can reach 2^{n} sets; pass max_vertices >= {n} to allow it"
         )
-    candidates: set[VertexSet] = set()
-    for r in range(n + 1):
-        for combo in combinations(g.vertices, r):
-            candidates.add(double_annihilator(g, combo))
+    cond = condensation(g)
+    blocks = [1 << i for i in range(len(cond.terminal))]
+    for mask in cond.cycle_masks:
+        merged = 0
+        rest = []
+        for b in blocks:
+            if b & mask:
+                merged |= b
+            else:
+                rest.append(b)
+        blocks = rest + [merged]
 
-    elements = sorted(
-        (w for w in candidates if not w or is_finitary(g, w)),
-        key=set_sort_key,
-    )
+    def region(t: int) -> VertexSet:
+        return frozenset(v for v, m in cond.below.items() if not m & ~t)
 
-    # Size order makes a single pass find the minimal elements: anything
-    # non-minimal strictly contains a smaller element and hence an atom
-    # already collected.
-    atoms: list[VertexSet] = []
+    unions = [0]
+    for b in blocks:
+        unions += [u | b for u in unions]
+    elements = sorted(map(region, unions), key=set_sort_key)
+    atoms = sorted(map(region, blocks), key=set_sort_key)
     for w in elements:
-        if w and not any(a < w for a in atoms):
-            atoms.append(w)
+        if w and not is_finitary(g, w):
+            raise RuntimeError(f"internal inconsistency: element {sorted(w)} is not finitary")
 
     _verify_lattice(g, elements, atoms)
 
@@ -216,9 +237,10 @@ def classify_atom(g: Graph, atom) -> Cycle | None:
     """The exitless cycle witnessing a T-atom, or None for a plain C-atom.
 
     An atom is a T-atom when some finitary exitless cycle has the atom as
-    the double annihilator of its vertex set.  Two distinct such cycles for
-    one atom would contradict the structure theory, so that case is refused
-    rather than guessed at.
+    the double annihilator of its vertex set.  Exitless cycles are terminal
+    components of the condensation, so only those are tried.  Two distinct
+    such cycles for one atom would contradict the structure theory, so that
+    case is refused rather than guessed at.
     """
     atom = vertex_subset(g, atom)
     matches = []

@@ -85,3 +85,10 @@ def random_graphs() -> list[Graph]:
 @pytest.fixture(scope="session")
 def small_random_graphs(random_graphs) -> list[Graph]:
     return random_graphs[:80]
+
+
+@pytest.fixture(scope="session")
+def wide_random_graphs() -> list[Graph]:
+    """Up to 10 vertices and 16 edges: past the exhaustive corpus, still
+    within reach of the 2^|V| oracle sweep."""
+    return random_corpus(seed=20261017, count=300, max_vertices=10, max_edges=16)

@@ -2,8 +2,11 @@
 
 Everything here is deliberately naive: transitive closure by Warshall's
 algorithm, cycle enumeration by checking every short edge tuple, arrival
-paths by brute-force walk enumeration or by per-length walk counting.
-None of it shares code with the package under test.
+paths by brute-force walk enumeration or by per-length walk counting, the
+finitary lattice by a sweep over all 2^|V| vertex subsets.  None of it
+shares code with the package under test, except that the exitless-cycle
+scan filters the package's all-cycles search, which shares nothing with the
+condensation it is compared against.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement, product
 
-from ckcenter import Graph
+from ckcenter import Cycle, Graph, SimplicityReport, cycles
 
 
 def reach_pairs(g: Graph) -> set[tuple[str, str]]:
@@ -144,6 +147,79 @@ def oracle_is_finitary(g: Graph, w: frozenset[str]) -> bool:
     bound = 2 * len(g.vertices)
     counts = arrival_counts(g, w, bound)
     return all(c == 0 for c in counts[len(g.vertices) - len(w) + 1 :])
+
+
+def size_then_members(w: frozenset[str]) -> tuple[int, tuple[str, ...]]:
+    return (len(w), tuple(sorted(w)))
+
+
+def oracle_lattice(g: Graph) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
+    """The subset sweep: double annihilators of all 2^|V| vertex subsets,
+    kept when empty or finitary, sorted by (size, members).  Atoms are the
+    minimal nonempty elements."""
+    pairs = reach_pairs(g)
+    desc = {v: frozenset(w for w in g.vertices if (v, w) in pairs) for v in g.vertices}
+
+    def ann(w):
+        return frozenset(v for v in g.vertices if desc[v].isdisjoint(w))
+
+    candidates = {ann(ann(s)) for s in all_subsets(g.vertices)}
+    elements = sorted(
+        (w for w in candidates if not w or oracle_is_finitary(g, w)),
+        key=size_then_members,
+    )
+    atoms = [w for w in elements if w and not any(x and x < w for x in elements)]
+    return elements, atoms
+
+
+def oracle_ne_cycles(g: Graph) -> list[Cycle]:
+    """Every cycle from the all-cycles search that has no exit: no edge
+    leaves a cycle vertex except the cycle's own."""
+    out = []
+    for c in cycles(g):
+        on = {g.edge(eid).src for eid in c.edges}
+        if all(e.id in c.edges for e in g.edges if e.src in on):
+            out.append(c)
+    return out
+
+
+def oracle_classify_atom(g: Graph, atom: frozenset[str]) -> list[Cycle]:
+    """Every finitary exitless cycle whose vertex set has the atom as its
+    double annihilator."""
+    out = []
+    for c in oracle_ne_cycles(g):
+        vs = frozenset(c.vertices(g))
+        if oracle_is_finitary(g, vs) and oracle_annihilator(g, oracle_annihilator(g, vs)) == atom:
+            out.append(c)
+    return out
+
+
+def oracle_simplicity(g: Graph) -> SimplicityReport:
+    """Simplicity by the scan over vertices: the smallest proper saturated
+    closure of one vertex's descendants, failing that the first exitless
+    cycle the all-cycles search meets.  That search anchors each cycle at
+    its smallest vertex and takes the anchors in order."""
+    pairs = reach_pairs(g)
+    proper = []
+    for v in g.vertices:
+        t = {w for w in g.vertices if (v, w) in pairs}
+        grew = True
+        while grew:
+            absorb = [
+                u for u in g.vertices
+                if u not in t and g.out_edges(u) and all(e.dst in t for e in g.out_edges(u))
+            ]
+            t.update(absorb)
+            grew = bool(absorb)
+        if len(t) < len(g.vertices):
+            proper.append(frozenset(t))
+    if proper:
+        return SimplicityReport(False, witness_subset=min(proper, key=size_then_members))
+    exitless = oracle_ne_cycles(g)
+    if exitless:
+        first = min(exitless, key=lambda c: g.edge(c.edges[0]).src)
+        return SimplicityReport(False, witness_cycle=first)
+    return SimplicityReport(True)
 
 
 # ---------------------------------------------------------------------------

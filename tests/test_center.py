@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ckcenter import (
@@ -148,6 +150,19 @@ def test_center_guard():
     g = Graph([f"u{i}" for i in range(17)], [])
     with pytest.raises(SizeLimitError):
         compute_center(g)
+
+
+def test_center_complete_graph_stays_fast():
+    # K_10 has millions of simple cycles and 2^10 vertex subsets; neither
+    # may be enumerated on the way to its single C-atom.
+    vs = [f"u{i}" for i in range(10)]
+    g = Graph(vs, [(f"x{i}_{j}", a, b) for i, a in enumerate(vs) for j, b in enumerate(vs)])
+    start = time.perf_counter()
+    report = compute_center(g)
+    elapsed = time.perf_counter() - start
+    assert (report.c_count, report.t_count) == (1, 0)
+    assert report.verified
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------

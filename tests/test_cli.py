@@ -132,6 +132,21 @@ def test_ne_cycles_listing(run):
     assert out.splitlines() == ["NE-cycles: 0"]
 
 
+def test_ne_cycles_on_deep_chain(run):
+    # Deeper than the interpreter's recursion limit: the component search
+    # must not recurse per vertex.
+    n = 3000
+    chain = json.dumps(
+        {
+            "vertices": [f"u{i}" for i in range(n)],
+            "edges": [{"id": f"x{i}", "src": f"u{i}", "dst": f"u{i + 1}"} for i in range(n - 1)],
+        }
+    )
+    code, out, _ = run(["ne-cycles"], graph_text=chain)
+    assert code == 0
+    assert out.splitlines() == ["NE-cycles: 0"]
+
+
 def test_hereditary_report(run):
     code, out, _ = run(["hereditary", "--set", "v2"], graph_text=G4)
     assert code == 0

@@ -14,6 +14,7 @@ from ckcenter import (
     hereditary_closure,
     is_finitary,
     is_hereditary,
+    is_simple_graph,
     lattice_join,
     ne_cycles,
 )
@@ -22,8 +23,12 @@ from oracles import (
     all_subsets,
     brute_arrival_paths,
     oracle_annihilator,
+    oracle_classify_atom,
     oracle_hereditary_sets,
     oracle_is_finitary,
+    oracle_lattice,
+    oracle_ne_cycles,
+    oracle_simplicity,
     reach_pairs,
 )
 
@@ -343,3 +348,21 @@ def test_classification_matches_ne_cycles(exhaustive_corpus):
         assert len(finitary_nes) == len(t_atoms)
         for c in finitary_nes:
             assert double_annihilator(g, c.vertex_set(g)) in t_atoms
+
+
+# ---------------------------------------------------------------------------
+# the condensation against the naive sweeps it replaced
+
+@pytest.mark.parametrize("corpus", ["exhaustive_corpus", "random_graphs", "wide_random_graphs"])
+def test_condensation_matches_naive_sweeps(corpus, request):
+    for g in request.getfixturevalue(corpus):
+        elements, atoms = oracle_lattice(g)
+        lat = finitary_annihilator_lattice(g)
+        assert list(lat.elements) == elements, g.edges
+        assert list(lat.atoms) == atoms, g.edges
+        for a in atoms:
+            matches = oracle_classify_atom(g, a)
+            assert len(matches) <= 1
+            assert classify_atom(g, a) == (matches[0] if matches else None), g.edges
+        assert ne_cycles(g) == oracle_ne_cycles(g), g.edges
+        assert is_simple_graph(g) == oracle_simplicity(g), g.edges
