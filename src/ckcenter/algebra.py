@@ -205,10 +205,6 @@ def edge_star(g: Graph, edge_id: str) -> AlgebraElement:
     return AlgebraElement(g, {Monomial(Path(e.dst), Path(e.src, (e.id,))): Fraction(1)})
 
 
-def from_path(g: Graph, p: Path) -> AlgebraElement:
-    return AlgebraElement(g, {Monomial(p, Path(p.range(g))): Fraction(1)})
-
-
 def from_monomial(g: Graph, p: Path, q: Path, coeff: Rational = 1) -> AlgebraElement:
     return AlgebraElement(g, {make_monomial(g, p, q): Fraction(coeff)})
 
@@ -326,10 +322,44 @@ def generators(g: Graph) -> Iterator[tuple[str, AlgebraElement]]:
 
 def is_central(a: AlgebraElement) -> tuple[bool, str | None]:
     """Check a against every generator; on failure, name the first generator
-    with a nonzero commutator."""
-    for label, gen in generators(a.graph):
-        if commutator(a, gen)._terms:
-            return False, label
+    (vertices, edges, then ghost edges) with a nonzero commutator.
+
+    With z_u the terms p q* of a with s(p) = u: vertex v fails iff it is a
+    source of a normal-form term with s(p) != s(q), and rewriting keeps
+    sources; then edge e fails iff z_{s(e)} e != e z_{r(e)}, compared
+    literally, then in normal form.  No ghost fails first, as z_u equal to
+    the sum of e z_{r(e)} e* over s(e) = u gives e* z = z e*.
+    """
+    g = a.graph
+    terms = a._terms
+    if any(m.p.source != m.q.source for m in terms):
+        terms = normal_form(a)._terms
+        off = {v for m in terms if m.p.source != m.q.source for v in (m.p.source, m.q.source)}
+        for v in g.vertices:
+            if v in off:
+                return False, v
+    corner: dict[str, list[tuple[Path, Path, Fraction]]] = {}
+    for m, c in terms.items():
+        corner.setdefault(m.p.source, []).append((m.p, m.q, c))
+
+    def element(keyed: dict[tuple, Fraction]) -> AlgebraElement:
+        return AlgebraElement(g, {Monomial(Path(*k[:2]), Path(*k[2:])): c for k, c in keyed.items()})
+
+    for e in g.edges:
+        # z_{s(e)} e: a term p s(e)* becomes (p e) r(e)*, a term p (e t)* becomes p t*
+        left: dict[tuple, Fraction] = {}
+        for p, q, c in corner.get(e.src, ()):
+            if q.edges[:1] == (e.id,):
+                key = (p.source, p.edges, e.dst, q.edges[1:])
+            elif not q.edges:
+                key = (p.source, p.edges + (e.id,), e.dst, ())
+            else:
+                continue
+            left[key] = left.get(key, 0) + c
+        left = {key: c for key, c in left.items() if c}
+        right = {(e.src, (e.id,) + p.edges, q.source, q.edges): c for p, q, c in corner.get(e.dst, ())}
+        if left != right and element(left) != element(right):
+            return False, e.id
     return True, None
 
 
@@ -345,53 +375,41 @@ def central_idempotent(g: Graph, w) -> AlgebraElement:
     return AlgebraElement(g, {Monomial(p, p): Fraction(1) for p in arr.paths})
 
 
+def cycle_rotations(g: Graph, cycle: Cycle) -> dict[str, tuple[str, ...]]:
+    """Each vertex v of the cycle mapped to the rotation c_v that starts at v."""
+    edges_ = cycle.edges
+    return {g.edge(eid).src: edges_[i:] + edges_[:i] for i, eid in enumerate(edges_)}
+
+
 def cycle_rotation_sum(g: Graph, cycle: Cycle) -> AlgebraElement:
     """The sum of all rotations of an exitless cycle, each as a real path."""
     if exits(g, cycle):
         raise GraphError(f"cycle {cycle.edges} has an exit")
-    edges_ = cycle.edges
-    terms: dict[Monomial, Fraction] = {}
-    for i in range(len(edges_)):
-        rot = edges_[i:] + edges_[:i]
-        src = g.edge(rot[0]).src
-        terms[Monomial(Path(src, rot), Path(src))] = Fraction(1)
-    return AlgebraElement(g, terms)
-
-
-def _corner_unit(g: Graph, cycle: Cycle) -> AlgebraElement:
-    return AlgebraElement(
-        g, {Monomial(Path(v), Path(v)): Fraction(1) for v in cycle.vertex_set(g)}
-    )
+    rotations = cycle_rotations(g, cycle)
+    return AlgebraElement(g, {Monomial(Path(v, c), Path(v)): Fraction(1) for v, c in rotations.items()})
 
 
 def conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElement:
     """Sum over arrival paths p of the cycle's vertex set of p z^k p*, where
     z is the rotation sum; negative k uses the starred rotation sum and k=0
-    the corner identity, which makes the result the central idempotent."""
+    the corner identity, which makes the result the central idempotent.
+
+    For k != 0, p z^k p* is the one monomial (p c^k) p* or p (p c^|k|)*, c
+    the rotation at r(p); it is a basis monomial, as p's last edge enters
+    the cycle from outside and c's does not."""
     if exits(g, cycle):
         raise GraphError(f"cycle {cycle.edges} has an exit")
     arr = arrival_paths(g, cycle.vertex_set(g))
     if not arr.is_finite:
         raise GraphError(f"cycle {cycle.edges} is not finitary")
-    if k == 0:
-        core = _corner_unit(g, cycle)
-    else:
-        z = cycle_rotation_sum(g, cycle)
-        base = z if k > 0 else star(z)
-        core = base
-        for _ in range(abs(k) - 1):
-            core = multiply(core, base)
+    rotations = cycle_rotations(g, cycle)
     acc: dict[Monomial, Fraction] = {}
     for p in arr.paths:
-        pe = from_path(g, p)
-        conj = multiply(multiply(pe, core), star(pe))
-        for m, c in conj._terms.items():
-            nc = acc.get(m, Fraction(0)) + c
-            if nc:
-                acc[m] = nc
-            else:
-                acc.pop(m, None)
-    return AlgebraElement(g, acc)
+        loop = Path(p.source, p.edges + rotations[p.range(g)] * abs(k))
+        m = Monomial(loop, p) if k >= 0 else Monomial(p, loop)
+        acc[m] = acc.get(m, Fraction(0)) + 1
+    out = AlgebraElement(g, acc)
+    return normal_form(out) if k == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ finitary annihilator lattice: a copy of the scalars when the atom carries
 no exitless cycle, a Laurent polynomial summand (continuous functions on
 the circle in the analytic completion) when it does.  compute_center builds
 the atoms, classifies each one, constructs explicit generating elements and
-verifies the expected relations between them by exact arithmetic.
+certifies the relations between them exactly, in time linear in their size.
 
 cross_check_center confirms the structural answer against an independent
 brute-force slice: the exact solution space of "commutes with every
@@ -19,19 +19,20 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraElement,
+    Monomial,
     bounded_basis_monomials,
     center_degree_bounded,
     central_idempotent,
     conjugated_cycle_power,
+    cycle_rotations,
     format_element,
     is_central,
-    multiply,
     normal_form,
     star,
     unit,
-    zero,
+    vertex,
 )
-from .graphs import Cycle, Graph
+from .graphs import Cycle, Graph, Path
 from .hereditary import (
     DEFAULT_MAX_VERTICES,
     FinitaryLattice,
@@ -99,34 +100,52 @@ def _cycle_label(cycle: Cycle) -> str:
     return "·".join(cycle.edges)
 
 
+def _prefix_free(paths) -> bool:
+    """No path begins another, nor equals it.  Sorted, a path that begins
+    another path begins its successor."""
+    keys = sorted((p.source, p.edges) for p in paths)
+    return not any(s == t and f[: len(e)] == e for (s, e), (t, f) in zip(keys, keys[1:]))
+
+
 def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
-    total = zero(g)
-    for e in idempotents:
-        total = total + e
-    if total != unit(g):
+    """Certify the relations from the generators' shape, in time linear in
+    their size.  Each e(A) must be a sum of p p* with coefficient 1, the p
+    over all atoms prefix-free (arrival paths of disjoint hereditary sets
+    are), so e(A)^2 = e(A), e(A) e(B) = 0 and e(A)* = e(A) hold term by
+    term.  A T-atom's plus must be the sum of (p c_v) p* over a prefix-free
+    set P, c_v the cycle's rotation at v = r(p), and minus its star; as
+    c_v c_v* = v = c_v* c_v, plus minus = minus plus = sum of p p* over P,
+    which must equal e(A), and then e(A) z = z e(A) = z.
+    """
+    terms = [(m, c) for e in idempotents for m, c in e.terms.items()]
+    if any(m.p != m.q or c != 1 for m, c in terms):
         return False
-    for i, ei in enumerate(idempotents):
-        if multiply(ei, ei) != ei:
-            return False
-        if star(ei) != ei:
-            return False
-        if not is_central(ei)[0]:
-            return False
-        for ej in idempotents[i + 1 :]:
-            if not multiply(ei, ej).is_zero():
-                return False
-    for ei, pair in zip(idempotents, laurent):
+    halves = [m.p for m, _ in terms]
+    if not _prefix_free(halves) or AlgebraElement(g, {Monomial(p, p): 1 for p in halves}) != unit(g):
+        return False
+    if not all(is_central(e)[0] for e in idempotents):
+        return False
+    for atom, e, pair in zip(atoms, idempotents, laurent):
         if pair is None:
             continue
         plus, minus = pair
-        for zc in (plus, minus):
-            if not is_central(zc)[0]:
+        rotations = cycle_rotations(g, atom.cycle)
+        arrivals = []
+        for m, c in plus.terms.items():
+            p = m.q
+            loop = rotations.get(p.range(g))
+            if c != 1 or loop is None or m.p != Path(p.source, p.edges + loop):
                 return False
-            if multiply(ei, zc) != zc or multiply(zc, ei) != zc:
-                return False
-        if multiply(plus, minus) != ei or multiply(minus, plus) != ei:
+            arrivals.append(p)
+        if minus.terms != star(plus).terms or not _prefix_free(arrivals):
             return False
-        if star(plus) != minus:
+        for v, c in rotations.items():
+            if AlgebraElement(g, {Monomial(Path(v, c), Path(v, c)): 1}) != vertex(g, v):
+                return False
+        arrival_sum = {Monomial(p, p): 1 for p in arrivals}
+        if arrival_sum != e.terms and AlgebraElement(g, arrival_sum) != e:
+            return False
+        if not (is_central(plus)[0] and is_central(minus)[0]):
             return False
     return True
 

@@ -111,7 +111,7 @@ def _cmd_analyze(g: Graph, args) -> int:
             "elements": [sorted(w) for w in lattice.elements],
             "atoms": [sorted(a) for a in lattice.atoms],
         },
-        "center": report.to_json_dict(),
+        "center": report.to_json_dict() if args.json else None,
     }
     lines = [
         f"vertices: {len(g.vertices)}, edges: {len(g.edges)}",
@@ -122,7 +122,8 @@ def _cmd_analyze(g: Graph, args) -> int:
         "lattice elements: " + ", ".join(_fmt_set(w) for w in lattice.elements),
         "lattice atoms: " + ", ".join(_fmt_set(a) for a in lattice.atoms),
     ]
-    lines.extend(_center_lines(report))
+    if not args.json:
+        lines.extend(_center_lines(report))
     _emit(payload, lines, args.json)
     return 0
 
@@ -141,7 +142,8 @@ def _center_lines(report) -> list[str]:
 
 def _cmd_center(g: Graph, args) -> int:
     report = compute_center(g, max_vertices=args.max_vertices)
-    _emit(report.to_json_dict(), _center_lines(report), args.json)
+    payload, lines = (report.to_json_dict(), []) if args.json else ({}, _center_lines(report))
+    _emit(payload, lines, args.json)
     return 0
 
 

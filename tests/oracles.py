@@ -7,6 +7,11 @@ finitary lattice by a sweep over all 2^|V| vertex subsets.  None of it
 shares code with the package under test, except that the exitless-cycle
 scan filters the package's all-cycles search, which shares nothing with the
 condensation it is compared against.
+
+The algebra oracles at the end decide centrality and the center's relations
+by full products and commutators in normal form, the search that the
+library's local certificate replaces; they are quadratic in the size of the
+generators, so they only run on small inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +19,23 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement, product
 
-from ckcenter import Cycle, Graph, SimplicityReport, cycles
+from ckcenter import (
+    Cycle,
+    Graph,
+    SimplicityReport,
+    arrival_paths,
+    commutator,
+    cycle_rotation_sum,
+    cycles,
+    exits,
+    generators,
+    multiply,
+    star,
+    unit,
+    zero,
+)
+from ckcenter.algebra import AlgebraElement, Monomial
+from ckcenter.graphs import GraphError, Path
 
 
 def reach_pairs(g: Graph) -> set[tuple[str, str]]:
@@ -220,6 +241,76 @@ def oracle_simplicity(g: Graph) -> SimplicityReport:
         first = min(exitless, key=lambda c: g.edge(c.edges[0]).src)
         return SimplicityReport(False, witness_cycle=first)
     return SimplicityReport(True)
+
+
+# ---------------------------------------------------------------------------
+# algebra: products and commutators instead of local certificates
+
+def oracle_is_central(a: AlgebraElement) -> tuple[bool, str | None]:
+    """Check a against every generator; on failure, name the first generator
+    with a nonzero commutator."""
+    for label, gen in generators(a.graph):
+        if commutator(a, gen).terms:
+            return False, label
+    return True, None
+
+
+def oracle_verify(g: Graph, atoms, idempotents, laurent) -> bool:
+    """The center's relations by products: the idempotents sum to 1, are
+    self-adjoint, central and pairwise orthogonal; each Laurent pair is
+    central, absorbed by its idempotent, inverse over it, and star-paired."""
+    total = zero(g)
+    for e in idempotents:
+        total = total + e
+    if total != unit(g):
+        return False
+    for i, ei in enumerate(idempotents):
+        if multiply(ei, ei) != ei:
+            return False
+        if star(ei) != ei:
+            return False
+        if not oracle_is_central(ei)[0]:
+            return False
+        for ej in idempotents[i + 1 :]:
+            if not multiply(ei, ej).is_zero():
+                return False
+    for ei, pair in zip(idempotents, laurent):
+        if pair is None:
+            continue
+        plus, minus = pair
+        for zc in (plus, minus):
+            if not oracle_is_central(zc)[0]:
+                return False
+            if multiply(ei, zc) != zc or multiply(zc, ei) != zc:
+                return False
+        if multiply(plus, minus) != ei or multiply(minus, plus) != ei:
+            return False
+        if star(plus) != minus:
+            return False
+    return True
+
+
+def oracle_conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElement:
+    """Sum over the cycle's arrival paths p of p z^k p*, by three products
+    per path, z^k a product of rotation sums (the corner unit for k = 0)."""
+    if exits(g, cycle):
+        raise GraphError(f"cycle {cycle.edges} has an exit")
+    arr = arrival_paths(g, cycle.vertex_set(g))
+    if not arr.is_finite:
+        raise GraphError(f"cycle {cycle.edges} is not finitary")
+    if k == 0:
+        core = AlgebraElement(g, {Monomial(Path(v), Path(v)): 1 for v in cycle.vertex_set(g)})
+    else:
+        z = cycle_rotation_sum(g, cycle)
+        base = z if k > 0 else star(z)
+        core = base
+        for _ in range(abs(k) - 1):
+            core = multiply(core, base)
+    acc = zero(g)
+    for p in arr.paths:
+        pe = AlgebraElement(g, {Monomial(p, Path(p.range(g))): 1})
+        acc = acc + multiply(multiply(pe, core), star(pe))
+    return acc
 
 
 # ---------------------------------------------------------------------------
