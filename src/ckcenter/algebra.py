@@ -158,6 +158,8 @@ class AlgebraElement:
             return NotImplemented
         if self.graph != other.graph:
             return False
+        if self._terms == other._terms:
+            return True
         return normal_form(self)._terms == normal_form(other)._terms
 
     __hash__ = None  # type: ignore[assignment]

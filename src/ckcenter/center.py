@@ -3,9 +3,10 @@
 The center decomposes as a direct sum with one summand per atom of the
 finitary annihilator lattice: a copy of the scalars when the atom carries
 no exitless cycle, a Laurent polynomial summand (continuous functions on
-the circle in the analytic completion) when it does.  compute_center builds
-the atoms, classifies each one, constructs explicit generating elements and
-certifies the relations between them exactly, in time linear in their size.
+the circle in the analytic completion) when it does.  compute_center reads
+the atoms and their cycles off the condensation, certifies them, builds
+explicit generating elements and certifies their relations exactly, in time
+linear in their size.
 
 cross_check_center confirms the structural answer against an independent
 brute-force slice: the exact solution space of "commutes with every
@@ -35,9 +36,10 @@ from .algebra import (
 from .graphs import Cycle, Graph, Path
 from .hereditary import (
     DEFAULT_MAX_VERTICES,
-    FinitaryLattice,
-    classify_atom,
+    _guard,
+    _verify_atoms,
     finitary_annihilator_lattice,
+    lattice_atoms,
 )
 from .linalg import in_span, rank
 
@@ -59,8 +61,7 @@ class CenterReport:
     """Isomorphism type of the center plus explicit verified generators.
 
     The type is C^a x T^b with a scalar summand per C-atom and a Laurent
-    summand per T-atom; generator_labels[i] names generators[i].  lattice is
-    the finitary lattice the atoms came from; it is not part of the JSON.
+    summand per T-atom; generator_labels[i] names generators[i].
     """
 
     graph: Graph
@@ -70,7 +71,6 @@ class CenterReport:
     generators: tuple[AlgebraElement, ...]
     generator_labels: tuple[str, ...]
     verified: bool
-    lattice: FinitaryLattice = field(compare=False, repr=False)
 
     def summand_description(self) -> str:
         return f"C^{self.c_count} x T^{self.t_count}"
@@ -142,8 +142,7 @@ def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
         for v, c in rotations.items():
             if AlgebraElement(g, {Monomial(Path(v, c), Path(v, c)): 1}) != vertex(g, v):
                 return False
-        arrival_sum = {Monomial(p, p): 1 for p in arrivals}
-        if arrival_sum != e.terms and AlgebraElement(g, arrival_sum) != e:
+        if AlgebraElement(g, {Monomial(p, p): 1 for p in arrivals}) != e:
             return False
         if not (is_central(plus)[0] and is_central(minus)[0]):
             return False
@@ -156,17 +155,19 @@ def compute_center(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Center
     Each lattice atom A contributes the central idempotent e(A); an atom
     carrying an exitless cycle also contributes the two conjugated rotation
     sums, inverse to each other over e(A), generating its Laurent summand.
-    The report's verified flag records an exact check of all expected
-    relations.
+    The atoms must pass _verify_atoms, or a RuntimeError stops the run; the
+    report's verified flag records an exact check of all expected relations.
     """
-    lattice = finitary_annihilator_lattice(g, max_vertices=max_vertices)
+    _guard(g, max_vertices)
+    found = lattice_atoms(g)
+    if not _verify_atoms(g, found):
+        raise RuntimeError("internal inconsistency: the lattice atoms fail their certificate")
     atoms: list[AtomSummary] = []
     idempotents: list[AlgebraElement] = []
     laurent: list[tuple[AlgebraElement, AlgebraElement] | None] = []
     gens: list[AlgebraElement] = []
     labels: list[str] = []
-    for atom in lattice.atoms:
-        cycle = classify_atom(g, atom)
+    for atom, cycle in found:
         atoms.append(AtomSummary(tuple(sorted(atom)), cycle))
         e = central_idempotent(g, atom)
         idempotents.append(e)
@@ -193,7 +194,6 @@ def compute_center(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Center
         generators=tuple(gens),
         generator_labels=tuple(labels),
         verified=verified,
-        lattice=lattice,
     )
 
 
@@ -254,18 +254,13 @@ def predicted_central_elements(
         if not w:
             continue
         out.append((f"e({_set_label(w)})", central_idempotent(g, w)))
-    for atom in lattice.atoms:
-        cycle = classify_atom(g, atom)
+    for _, cycle in lattice_atoms(g):
         if cycle is None:
             continue
         k = 1
         while k * len(cycle.edges) <= degree:
-            out.append(
-                (f"z({_cycle_label(cycle)})^{k}", conjugated_cycle_power(g, cycle, k))
-            )
-            out.append(
-                (f"z({_cycle_label(cycle)})^-{k}", conjugated_cycle_power(g, cycle, -k))
-            )
+            for j in (k, -k):
+                out.append((f"z({_cycle_label(cycle)})^{j}", conjugated_cycle_power(g, cycle, j)))
             k += 1
     monos = set(bounded_basis_monomials(g, degree))
     return [

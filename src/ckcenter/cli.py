@@ -49,6 +49,7 @@ from .hereditary import (
     annihilator,
     arrival_paths,
     double_annihilator,
+    finitary_annihilator_lattice,
     is_finitary,
 )
 
@@ -98,7 +99,7 @@ def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
 def _cmd_analyze(g: Graph, args) -> int:
     simple = is_simple_graph(g)
     report = compute_center(g, max_vertices=args.max_vertices)
-    lattice = report.lattice
+    lattice = finitary_annihilator_lattice(g, max_vertices=args.max_vertices)
     cyc = cycles(g)
     nec = ne_cycles(g)
     payload = {

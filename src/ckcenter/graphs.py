@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 VertexSet = frozenset[str]
 
@@ -310,37 +310,35 @@ def saturation(g: Graph, w: Iterable[str]) -> VertexSet:
 # ---------------------------------------------------------------------------
 # cycles, exits, simplicity
 
-def _iter_cycles(g: Graph) -> Iterator[Cycle]:
-    """All cycles, each anchored at its smallest vertex so the emitted tuple
-    is already the canonical rotation.  DFS never walks below the anchor,
-    which also guarantees each cycle appears exactly once."""
+def cycles(g: Graph) -> list[Cycle]:
+    """All cycles in canonical rotation, sorted by their edge id tuples.
+
+    Each cycle is found once, by a DFS from its smallest vertex that never
+    walks below it, on its own stack so that deep graphs cannot hit the
+    recursion limit."""
     pos = {v: i for i, v in enumerate(sorted(g.vertices))}
     found: list[Cycle] = []
-
     for anchor in sorted(g.vertices):
         apos = pos[anchor]
         trail: list[str] = []
         on_trail = {anchor}
-
-        def walk(v: str) -> None:
-            for e in g.out_edges(v):
+        work = [(anchor, iter(g.out_edges(anchor)))]
+        while work:
+            v, pending = work[-1]
+            for e in pending:
                 if e.dst == anchor:
                     found.append(Cycle(tuple(trail) + (e.id,)))
                 elif e.dst not in on_trail and pos[e.dst] > apos:
                     on_trail.add(e.dst)
                     trail.append(e.id)
-                    walk(e.dst)
+                    work.append((e.dst, iter(g.out_edges(e.dst))))
+                    break
+            else:
+                work.pop()
+                if trail:
                     trail.pop()
-                    on_trail.discard(e.dst)
-
-        walk(anchor)
-        yield from found
-        found.clear()
-
-
-def cycles(g: Graph) -> list[Cycle]:
-    """All cycles in canonical rotation, sorted by their edge id tuples."""
-    return sorted(_iter_cycles(g), key=lambda c: c.edges)
+                    on_trail.discard(v)
+    return sorted(found, key=lambda c: c.edges)
 
 
 def exits(g: Graph, cycle: Cycle) -> frozenset[str]:
@@ -355,8 +353,8 @@ class Condensation(NamedTuple):
 
     A terminal component has no edge leaving it; every sink is one.  Bit i
     of a mask stands for terminal[i].  below[v] is the mask of the terminal
-    components reachable from v, and cycle_masks holds below[v] for the
-    components that contain a cycle (several vertices, or one with a loop).
+    components reachable from v, and cycle_masks holds below[v] for each
+    non-terminal component with a cycle (several vertices, or a loop).
     """
 
     terminal: tuple[tuple[str, ...], ...]
@@ -386,13 +384,13 @@ def condensation(g: Graph) -> Condensation:
             mask = 0
             for w in leaving:
                 mask |= below[w]
+            if len(members) > 1 or any(e.dst == members[0] for e in g.out_edges(members[0])):
+                cycle_masks.add(mask)
         else:
             mask = 1 << len(terminal)
             terminal.append(tuple(members))
         for v in members:
             below[v] = mask
-        if len(members) > 1 or any(e.dst == members[0] for e in g.out_edges(members[0])):
-            cycle_masks.add(mask)
 
     for root in g.vertices:
         if root in index:
@@ -451,35 +449,36 @@ def ne_cycles(g: Graph) -> list[Cycle]:
 
 
 def find_cycle_within(g: Graph, allowed: Iterable[str]) -> Cycle | None:
-    """First cycle (in DFS order) whose edges stay inside the allowed set."""
+    """First cycle (in DFS order) whose edges stay inside the allowed set.
+    The DFS keeps its own stack, so deep graphs cannot hit the recursion
+    limit."""
     allowed = vertex_subset(g, allowed)
     state: dict[str, str] = {}
-    trail: list[Edge] = []
-    hit: list[Cycle] = []
-
-    def walk(v: str) -> bool:
-        state[v] = "active"
-        for e in g.out_edges(v):
-            if e.dst not in allowed:
-                continue
-            if e.dst not in state:
-                trail.append(e)
-                if walk(e.dst):
-                    return True
-                trail.pop()
-            elif state[e.dst] == "active":
-                verts = [trail[0].src if trail else v] + [t.dst for t in trail]
-                k = verts.index(e.dst)
-                hit.append(canonical_cycle(g, tuple(t.id for t in trail[k:]) + (e.id,)))
-                return True
-        state[v] = "done"
-        return False
-
-    for v in g.vertices:
-        if v in allowed and v not in state:
-            trail.clear()
-            if walk(v):
-                return hit[0]
+    for root in g.vertices:
+        if root not in allowed or root in state:
+            continue
+        state[root] = "active"
+        trail: list[Edge] = []
+        work = [(root, iter(g.out_edges(root)))]
+        while work:
+            v, pending = work[-1]
+            for e in pending:
+                if e.dst not in allowed:
+                    continue
+                if e.dst not in state:
+                    state[e.dst] = "active"
+                    trail.append(e)
+                    work.append((e.dst, iter(g.out_edges(e.dst))))
+                    break
+                if state[e.dst] == "active":
+                    verts = [root] + [t.dst for t in trail]
+                    k = verts.index(e.dst)
+                    return canonical_cycle(g, tuple(t.id for t in trail[k:]) + (e.id,))
+            else:
+                state[v] = "done"
+                work.pop()
+                if trail:
+                    trail.pop()
     return None
 
 

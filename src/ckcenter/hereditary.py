@@ -9,11 +9,10 @@ when a cycle lies in the region outside W from which W is reachable.
 Annihilators W' = {v : no descendant of v lies in W} drive the lattice: the
 double annihilators of arbitrary vertex subsets, filtered down to finitary
 ones, form a finite Boolean algebra whose atoms parametrise the summands of
-the algebra's center.  Both are read off the condensation rather than found
-by search: a double annihilator is the set of vertices all of whose terminal
-strongly connected components lie in a chosen collection, and the atoms come
-from grouping terminal components that lie below a common cycle.  The work
-grows with the size of the lattice, not with 2^|V|.
+the algebra's center.  The atoms and their exitless cycles are read off the
+condensation rather than found by search (lattice_atoms); the center needs
+nothing more.  Only finitary_annihilator_lattice lists the 2^atoms elements,
+each the double annihilator of a union of atoms.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ def arrival_paths(g: Graph, w) -> ArrivalSet:
 
     In the finite case the region outside w that reaches w is acyclic, so a
     plain DFS enumerates every path through it that ends with one step into
-    w.  Paths come back sorted by (length, source, edge ids).
+    w, on its own stack so that deep graphs cannot hit the recursion limit.
+    Paths come back sorted by (length, source, edge ids).
     """
     w = _checked_hereditary(g, w)
     region = arrival_region(g, w)
@@ -85,16 +85,21 @@ def arrival_paths(g: Graph, w) -> ArrivalSet:
         return ArrivalSet(witness=witness)
 
     paths = [Path(v) for v in w]
-
-    def extend(start: str, at: str, acc: tuple[str, ...]) -> None:
-        for e in g.out_edges(at):
-            if e.dst in w:
-                paths.append(Path(start, acc + (e.id,)))
-            elif e.dst in region:
-                extend(start, e.dst, acc + (e.id,))
-
     for start in sorted(region):
-        extend(start, start, ())
+        trail: list[str] = []
+        work = [iter(g.out_edges(start))]
+        while work:
+            for e in work[-1]:
+                if e.dst in w:
+                    paths.append(Path(start, tuple(trail) + (e.id,)))
+                elif e.dst in region:
+                    trail.append(e.id)
+                    work.append(iter(g.out_edges(e.dst)))
+                    break
+            else:
+                work.pop()
+                if trail:
+                    trail.pop()
     paths.sort(key=path_sort_key)
     return ArrivalSet(paths=tuple(paths))
 
@@ -129,6 +134,33 @@ def lattice_join(g: Graph, w1, w2) -> VertexSet:
 # ---------------------------------------------------------------------------
 # the finitary lattice
 
+def lattice_atoms(g: Graph) -> tuple[tuple[VertexSet, Cycle | None], ...]:
+    """The atoms of the finitary lattice in (size, members) order, each with
+    the exitless cycle of a T-atom, or None for a C-atom.
+
+    (X')' = W_T, the vertices whose terminal components all lie in T, for T
+    the terminal components that meet X.  W_T is finitary unless a cycle
+    outside it reaches it, which forces every terminal component below that
+    cycle into T.  So the components below each non-terminal cycle join one
+    block, and the atoms are the blocks' W_T.  A T-atom is a block of one
+    exitless cycle with no cycle above it, so finitary, and W_T is its
+    double annihilator.
+    """
+    cond = condensation(g)
+    blocks = [1 << i for i in range(len(cond.terminal))]
+    above = 0
+    for mask in cond.cycle_masks:
+        above |= mask
+        # blocks are disjoint, so the sum of those that meet mask is their union
+        blocks = [b for b in blocks if not b & mask] + [sum(b for b in blocks if b & mask)]
+    exitless = {cond.below[c.vertices(g)[0]]: c for c in ne_cycles(g)}
+    atoms = []
+    for b in blocks:
+        members = frozenset(v for v, m in cond.below.items() if not m & ~b)
+        atoms.append((members, None if b & above else exitless.get(b)))
+    return tuple(sorted(atoms, key=lambda a: set_sort_key(a[0])))
+
+
 @dataclass(frozen=True)
 class FinitaryLattice:
     """Finitary double-annihilator subsets, ordered by (size, members).
@@ -141,63 +173,32 @@ class FinitaryLattice:
     atoms: tuple[VertexSet, ...]
 
 
-def finitary_annihilator_lattice(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> FinitaryLattice:
-    """Build the finitary double annihilators from the condensation, then
-    verify the Boolean closure properties.
-
-    (X')' = W_T for T the terminal components that meet X, so the double
-    annihilators are the W_T.  W_T is finitary unless a cycle outside it
-    reaches it, and such a cycle forces every terminal component below it
-    into T.  Closing {C} under that rule for each terminal component C
-    joins the components below each cycle into one block, so the blocks
-    partition the terminal components, the atoms are their W_T, and the
-    elements are the W_T of the unions of blocks.
-
-    There are 2^(number of atoms) elements, each checked by is_finitary and
-    the closure checks; max_vertices bounds that by 2^|V|.
-    """
+def _guard(g: Graph, max_vertices: int) -> None:
     n = len(g.vertices)
     if n > max_vertices:
         raise SizeLimitError(
             f"graph has {n} vertices, over the lattice guard of {max_vertices}: its element "
             f"list can reach 2^{n} sets; pass max_vertices >= {n} to allow it"
         )
-    cond = condensation(g)
-    blocks = [1 << i for i in range(len(cond.terminal))]
-    for mask in cond.cycle_masks:
-        merged = 0
-        rest = []
-        for b in blocks:
-            if b & mask:
-                merged |= b
-            else:
-                rest.append(b)
-        blocks = rest + [merged]
 
-    def region(t: int) -> VertexSet:
-        return frozenset(v for v, m in cond.below.items() if not m & ~t)
 
-    unions = [0]
-    for b in blocks:
-        unions += [u | b for u in unions]
-    elements = sorted(map(region, unions), key=set_sort_key)
-    atoms = sorted(map(region, blocks), key=set_sort_key)
+def finitary_annihilator_lattice(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> FinitaryLattice:
+    """List the finitary double annihilators, then verify the Boolean
+    closure properties.  Each element is the join of the atoms below it:
+    the double annihilator of their union, as the annihilator of a union is
+    the intersection of the annihilators.  There are 2^(number of atoms)
+    elements, each checked by is_finitary and the closure checks;
+    max_vertices bounds that by 2^|V|.
+    """
+    _guard(g, max_vertices)
+    atoms = [a for a, _ in lattice_atoms(g)]
+    picks = product((False, True), repeat=len(atoms))
+    joins = (set().union(*(a for a, keep in zip(atoms, pick) if keep)) for pick in picks)
+    elements = sorted((double_annihilator(g, u) for u in joins), key=set_sort_key)
     for w in elements:
         if w and not is_finitary(g, w):
             raise RuntimeError(f"internal inconsistency: element {sorted(w)} is not finitary")
-
     _verify_lattice(g, elements, atoms)
-
-    # The n-ary join is the double annihilator of the union, because the
-    # annihilator of a union is the intersection of the annihilators.
-    for w in elements:
-        if not w:
-            continue
-        below = frozenset().union(*(a for a in atoms if a <= w))
-        if double_annihilator(g, below) != w:
-            raise RuntimeError(
-                f"internal inconsistency: element {sorted(w)} is not the join of its atoms"
-            )
     return FinitaryLattice(tuple(elements), tuple(atoms))
 
 
@@ -233,26 +234,24 @@ def _verify_lattice(g: Graph, elements: list[VertexSet], atoms: list[VertexSet])
             )
 
 
-def classify_atom(g: Graph, atom) -> Cycle | None:
-    """The exitless cycle witnessing a T-atom, or None for a plain C-atom.
+def _verify_atoms(g: Graph, atoms) -> bool:
+    """Certify (atom, cycle) pairs for what the center uses: nonempty,
+    annihilator-closed, finitary, pairwise disjoint atoms whose union has an
+    empty annihilator, and a cycle exactly on the atoms that are double
+    annihilators of finitary exitless cycles, one atom per such cycle."""
+    finitary = [c for c in ne_cycles(g) if is_finitary(g, c.vertex_set(g))]
+    cycle_of = {double_annihilator(g, c.vertex_set(g)): c for c in finitary}
+    union: VertexSet = frozenset()
+    for atom, cycle in atoms:
+        if not atom or atom & union or double_annihilator(g, atom) != atom:
+            return False
+        if not is_finitary(g, atom) or cycle_of.get(atom) != cycle:
+            return False
+        union |= atom
+    return not annihilator(g, union) and sum(c is not None for _, c in atoms) == len(finitary)
 
-    An atom is a T-atom when some finitary exitless cycle has the atom as
-    the double annihilator of its vertex set.  Exitless cycles are terminal
-    components of the condensation, so only those are tried.  Two distinct
-    such cycles for one atom would contradict the structure theory, so that
-    case is refused rather than guessed at.
-    """
-    atom = vertex_subset(g, atom)
-    matches = []
-    for c in ne_cycles(g):
-        vs = c.vertex_set(g)
-        if not is_finitary(g, vs):
-            continue
-        if double_annihilator(g, vs) == atom:
-            matches.append(c)
-    if len(matches) > 1:
-        raise RuntimeError(
-            f"internal inconsistency: distinct exitless cycles {matches[0].edges} and "
-            f"{matches[1].edges} match the same atom"
-        )
-    return matches[0] if matches else None
+
+def classify_atom(g: Graph, atom) -> Cycle | None:
+    """The exitless cycle of a T-atom, or None for a C-atom or a set that is
+    no atom; a lookup in lattice_atoms."""
+    return dict(lattice_atoms(g)).get(vertex_subset(g, atom))

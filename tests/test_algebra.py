@@ -211,6 +211,20 @@ def test_equality_ignores_presentation(g2):
     assert (resolved - vertex(g2, "v1")).is_zero()
 
 
+def test_literally_equal_elements_skip_normal_form(g4, monkeypatch):
+    import ckcenter.algebra
+
+    calls = []
+    real = ckcenter.algebra.normal_form
+    monkeypatch.setattr(ckcenter.algebra, "normal_form", lambda a: calls.append(a) or real(a))
+    a = central_idempotent(g4, {"v2", "v3", "v4"})
+    b = central_idempotent(g4, {"v2", "v3", "v4"})
+    assert a is not b and a == b
+    assert calls == []
+    assert a != central_idempotent(g4, {"v5"})
+    assert calls
+
+
 # ---------------------------------------------------------------------------
 # ring axioms and star
 

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from ckcenter import (
+    AtomSummary,
     Graph,
     SizeLimitError,
     compute_center,
@@ -19,6 +20,7 @@ from ckcenter import (
 )
 
 from conftest import cycle_graph
+from oracles import oracle_classify_atom, oracle_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +232,37 @@ def test_cross_check_containment_on_corpus(exhaustive_corpus):
 def test_cross_check_guard(c3):
     with pytest.raises(SizeLimitError):
         cross_check_center(c3, 3, oracle_bound=5)
+
+
+# ---------------------------------------------------------------------------
+# the atoms-only center path
+
+@pytest.mark.parametrize("corpus", ["exhaustive_corpus", "random_graphs", "wide_random_graphs"])
+def test_center_atoms_match_oracles(corpus, request):
+    for g in request.getfixturevalue(corpus):
+        expected = []
+        for a in oracle_lattice(g)[1]:
+            matches = oracle_classify_atom(g, a)
+            assert len(matches) <= 1
+            expected.append(AtomSummary(tuple(sorted(a)), matches[0] if matches else None))
+        assert compute_center(g).atoms == tuple(expected), g.edges
+
+
+def test_center_never_lists_the_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_center listed the lattice elements")
+
+    monkeypatch.setattr("ckcenter.center.finitary_annihilator_lattice", refuse)
+    fan = Graph([f"u{i}" for i in range(16)], [(f"x{i}", "u0", f"u{i}") for i in range(1, 16)])
+    report = compute_center(fan)
+    assert report.summand_description() == "C^15 x T^0"
+    assert report.verified
+
+
+def test_center_refuses_uncertified_atoms(g4, monkeypatch):
+    import ckcenter.center
+
+    real = ckcenter.center.lattice_atoms
+    monkeypatch.setattr(ckcenter.center, "lattice_atoms", lambda g: real(g)[1:])
+    with pytest.raises(RuntimeError, match="certificate"):
+        compute_center(g4)

@@ -1,8 +1,10 @@
 """The local centrality test and the shape certificate behind `verified`,
-compared with the product-and-commutator oracles on small inputs."""
+compared with the product-and-commutator oracles on small inputs, and the
+certificate of the lattice atoms that the center is built on."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,10 +17,12 @@ from ckcenter import (
     format_element,
     generators,
     is_central,
+    lattice_atoms,
     normal_form,
 )
 from ckcenter.algebra import AlgebraElement, Monomial
 from ckcenter.center import _verify
+from ckcenter.hereditary import _verify_atoms
 from ckcenter.cli import main
 from ckcenter.graphs import Path
 
@@ -205,3 +209,38 @@ def test_center_of_diamond_ladder_is_linear_in_output():
     assert report.verified
     assert [len(e.terms) for e in report.generators] == [4094, 4094]
     assert elapsed < 3.0
+
+
+# ---------------------------------------------------------------------------
+# the atom certificate
+
+def _atom_mutants(g: Graph, atoms):
+    """(kind, corrupted atom list) for each way _verify_atoms must catch."""
+    atoms = list(atoms)
+    for i, (atom, cycle) in enumerate(atoms):
+        def at(new):
+            return atoms[:i] + [new] + atoms[i + 1 :]
+
+        for v in sorted(atom):
+            yield "vertex dropped", at((atom - {v}, cycle))
+        for v in sorted(g.vertex_set - atom):
+            yield "outside vertex added", at((atom | {v}, cycle))
+        yield "atom dropped", atoms[:i] + atoms[i + 1 :]
+        for j, (other, other_cycle) in enumerate(atoms):
+            if j != i:
+                yield "two atoms share a vertex", at((atom | {min(other)}, cycle))
+            if cycle is None and other_cycle is not None:
+                yield "C-atom given another atom's cycle", at((atom, other_cycle))
+        if cycle is not None:
+            yield "T-atom's cycle cleared", at((atom, None))
+
+
+def test_atom_certificate_rejects_mutants(exhaustive_corpus, random_graphs):
+    seen = Counter()
+    for g in list(exhaustive_corpus) + list(random_graphs[:100]):
+        atoms = lattice_atoms(g)
+        assert _verify_atoms(g, atoms), g.edges
+        for kind, mutant in _atom_mutants(g, atoms):
+            assert not _verify_atoms(g, mutant), (kind, g.edges)
+            seen[kind] += 1
+    assert len(seen) == 6 and min(seen.values()) > 0, seen

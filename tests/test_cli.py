@@ -286,3 +286,22 @@ def test_oracle_bound_exits_1(run):
     code, _, err = run(["cross-check", "--degree", "3", "--oracle-bound", "5"], graph_text=C3)
     assert code == 1
     assert err
+
+
+def test_deep_chain_exits_0(run):
+    n = 2000
+    chain = json.dumps({
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"id": f"e{i}", "src": f"v{i}", "dst": f"v{i + 1}"} for i in range(n - 1)],
+    })
+    code, out, err = run(["hereditary", "--set", f"v{n - 1}"], graph_text=chain)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "finitary: yes"
+    ring = json.dumps({
+        "vertices": [f"v{i}" for i in range(n)] + ["s"],
+        "edges": [{"id": f"e{i}", "src": f"v{i}", "dst": f"v{(i + 1) % n}"} for i in range(n)]
+        + [{"id": "x", "src": "v0", "dst": "s"}],
+    })
+    code, out, err = run(["arrivals", "--set", "s"], graph_text=ring)
+    assert code == 0 and err == ""
+    assert out == "Infinite: witness cycle " + "·".join(f"e{i}" for i in range(n)) + "\n"

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,7 +7,9 @@ from ckcenter import (
     Graph,
     GraphError,
     Path,
+    arrival_paths,
     canonical_cycle,
+    condensation,
     cycles,
     descendants,
     exits,
@@ -22,6 +25,7 @@ from ckcenter import (
     saturation,
     sinks,
 )
+from ckcenter.graphs import find_cycle_within
 
 from conftest import cycle_graph
 from oracles import (
@@ -377,3 +381,31 @@ def test_simple_or_cycle_dichotomy(exhaustive_corpus):
         assert len(cyc) == 1
         assert cyc[0].vertex_set(g) == frozenset(g.vertices)
         assert len(cyc[0].edges) == len(g.edges)
+
+
+# ---------------------------------------------------------------------------
+# deep graphs
+
+def test_walks_survive_deep_graphs():
+    # 2,000 vertices is past the default recursion limit, so no walk may recurse per vertex.
+    n = 2000
+    assert sys.getrecursionlimit() < n
+    chain = Graph([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    assert find_cycle_within(chain, chain.vertices) is None
+    arr = arrival_paths(chain, {f"v{n - 1}"})
+    assert len(arr.paths) == n
+    assert arr.paths[-1] == Path("v0", tuple(f"e{i}" for i in range(n - 1)))
+
+    ring = cycle_graph(n)
+    loop = canonical_cycle(ring, [f"e{i}" for i in range(1, n + 1)])
+    assert find_cycle_within(ring, ring.vertices) == loop
+    assert cycles(ring) == [loop]
+    fed = Graph(ring.vertices + ("s",), ring.edges + (("x", "v1", "s"),))
+    assert arrival_paths(fed, {"s"}).witness == loop
+
+
+def test_cycle_masks_hold_only_non_terminal_cycles(g2, g4):
+    # g4's only cycle is terminal; g2's loop sits above the sink v2.
+    assert condensation(g4).cycle_masks == frozenset()
+    cond = condensation(g2)
+    assert cond.cycle_masks == frozenset({cond.below["v2"]})
