@@ -9,7 +9,7 @@ the real edges resolve the identity: v equals the sum of ee* over its
 outgoing edges.
 
 That last relation powers the normal form.  Fixing one special outgoing
-edge per non-sink vertex (smallest edge id by default), any monomial whose
+edge per non-sink vertex, the smallest edge id, any monomial whose
 two halves both end in the special edge of a common source is rewritten:
 
     (p1 e)(q1 e)*  ->  p1 q1*  -  sum over f != e of (p1 f)(q1 f)*
@@ -81,29 +81,6 @@ def _default_special(g: Graph) -> dict[str, str]:
         for v in g.vertices
         if g.out_edges(v)
     }
-
-
-def special_edge_choice(g: Graph, chosen: Mapping[str, str] | None = None) -> dict[str, str]:
-    """One outgoing edge per non-sink vertex, the smallest edge id unless an
-    explicit choice is supplied."""
-    if chosen is None:
-        return dict(_default_special(g))
-    table = {}
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if not out:
-            if v in chosen:
-                raise GraphError(f"special edge given for sink {v!r}")
-            continue
-        if v not in chosen:
-            raise GraphError(f"no special edge chosen for non-sink {v!r}")
-        if chosen[v] not in {e.id for e in out}:
-            raise GraphError(f"edge {chosen[v]!r} does not leave vertex {v!r}")
-        table[v] = chosen[v]
-    extra = set(chosen) - set(table)
-    if extra:
-        raise GraphError(f"special edge for unknown vertex {min(extra)!r}")
-    return table
 
 
 class AlgebraElement:
@@ -207,10 +184,6 @@ def edge_star(g: Graph, edge_id: str) -> AlgebraElement:
     return AlgebraElement(g, {Monomial(Path(e.dst), Path(e.src, (e.id,))): Fraction(1)})
 
 
-def from_monomial(g: Graph, p: Path, q: Path, coeff: Rational = 1) -> AlgebraElement:
-    return AlgebraElement(g, {make_monomial(g, p, q): Fraction(coeff)})
-
-
 # ---------------------------------------------------------------------------
 # products and normal form
 
@@ -254,18 +227,17 @@ def _is_junction_redex(g: Graph, gamma: Mapping[str, str], m: Monomial) -> bool:
     return gamma.get(g.edge(pe[-1]).src) == pe[-1]
 
 
-def normal_form(a: AlgebraElement, special: Mapping[str, str] | None = None) -> AlgebraElement:
+def normal_form(a: AlgebraElement) -> AlgebraElement:
     """Rewrite to the canonical basis representation.
 
     Each rewrite either shortens the monomial or switches its last edge pair
     away from the special edge, so the loop terminates; the surviving
     monomials are basis monomials and the result is unique.
     """
-    g = a.graph
-    use_cache = special is None
-    if use_cache and a._nf is not None:
+    if a._nf is not None:
         return a._nf
-    gamma = special_edge_choice(g, special)
+    g = a.graph
+    gamma = _default_special(g)
     result: dict[Monomial, Fraction] = {}
     stack = list(a._terms.items())
     while stack:
@@ -295,9 +267,8 @@ def normal_form(a: AlgebraElement, special: Mapping[str, str] | None = None) -> 
                 )
             )
     out = AlgebraElement(g, result)
-    if use_cache:
-        out._nf = out
-        a._nf = out
+    out._nf = out
+    a._nf = out
     return out
 
 
@@ -383,14 +354,6 @@ def cycle_rotations(g: Graph, cycle: Cycle) -> dict[str, tuple[str, ...]]:
     return {g.edge(eid).src: edges_[i:] + edges_[:i] for i, eid in enumerate(edges_)}
 
 
-def cycle_rotation_sum(g: Graph, cycle: Cycle) -> AlgebraElement:
-    """The sum of all rotations of an exitless cycle, each as a real path."""
-    if exits(g, cycle):
-        raise GraphError(f"cycle {cycle.edges} has an exit")
-    rotations = cycle_rotations(g, cycle)
-    return AlgebraElement(g, {Monomial(Path(v, c), Path(v)): Fraction(1) for v, c in rotations.items()})
-
-
 def conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElement:
     """Sum over arrival paths p of the cycle's vertex set of p z^k p*, where
     z is the rotation sum; negative k uses the starred rotation sum and k=0
@@ -431,12 +394,12 @@ def _paths_up_to(g: Graph, length: int) -> list[Path]:
     return out
 
 
-def bounded_basis_monomials(g: Graph, degree: int, special: Mapping[str, str] | None = None) -> list[Monomial]:
+def bounded_basis_monomials(g: Graph, degree: int) -> list[Monomial]:
     """All basis monomials with both halves of length at most degree, in
     canonical order."""
     if degree < 0:
         raise GraphError("degree must be nonnegative")
-    gamma = special_edge_choice(g, special)
+    gamma = _default_special(g)
     by_range: dict[str, list[Path]] = {v: [] for v in g.vertices}
     for p in _paths_up_to(g, degree):
         by_range[p.range(g)].append(p)

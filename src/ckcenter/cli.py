@@ -24,9 +24,8 @@ from .algebra import (
     normal_form,
     parse_element,
 )
-from .center import compute_center, cross_check_center
+from .center import _cycle_label, _set_label, compute_center, cross_check_center
 from .graphs import (
-    Cycle,
     Graph,
     GraphError,
     Path,
@@ -73,14 +72,6 @@ def _parse_set(g: Graph, text: str) -> frozenset[str]:
     return frozenset(members)
 
 
-def _fmt_set(w) -> str:
-    return "{" + ",".join(sorted(w)) + "}"
-
-
-def _fmt_cycle(c: Cycle) -> str:
-    return "·".join(c.edges)
-
-
 def _fmt_path(p: Path) -> str:
     return "*".join(p.edges) if p.edges else p.source
 
@@ -116,12 +107,12 @@ def _cmd_analyze(g: Graph, args) -> int:
     }
     lines = [
         f"vertices: {len(g.vertices)}, edges: {len(g.edges)}",
-        f"sinks: {_fmt_set(sinks(g))}",
-        f"cycles: {', '.join(_fmt_cycle(c) for c in cyc) if cyc else 'none'}",
-        f"NE-cycles: {', '.join(_fmt_cycle(c) for c in nec) if nec else 'none'}",
+        f"sinks: {_set_label(sinks(g))}",
+        f"cycles: {', '.join(_cycle_label(c) for c in cyc) if cyc else 'none'}",
+        f"NE-cycles: {', '.join(_cycle_label(c) for c in nec) if nec else 'none'}",
         _simple_line(simple),
-        "lattice elements: " + ", ".join(_fmt_set(w) for w in lattice.elements),
-        "lattice atoms: " + ", ".join(_fmt_set(a) for a in lattice.atoms),
+        "lattice elements: " + ", ".join(_set_label(w) for w in lattice.elements),
+        "lattice atoms: " + ", ".join(_set_label(a) for a in lattice.atoms),
     ]
     if not args.json:
         lines.extend(_center_lines(report))
@@ -132,8 +123,8 @@ def _cmd_analyze(g: Graph, args) -> int:
 def _center_lines(report) -> list[str]:
     lines = [f"center: {report.summand_description()}"]
     for atom in report.atoms:
-        tail = f"  cycle {_fmt_cycle(atom.cycle)}" if atom.cycle else ""
-        lines.append(f"  atom {_fmt_set(atom.vertices)}  type {atom.kind}{tail}")
+        tail = f"  cycle {_cycle_label(atom.cycle)}" if atom.cycle else ""
+        lines.append(f"  atom {_set_label(atom.vertices)}  type {atom.kind}{tail}")
     lines.append("generators:")
     for label, el in zip(report.generator_labels, report.generators):
         lines.append(f"  {label} = {format_element(el)}")
@@ -167,17 +158,17 @@ def _cmd_hereditary(g: Graph, args) -> int:
         "finitary": finitary,
     }
     lines = [
-        f"set: {_fmt_set(w)}",
+        f"set: {_set_label(w)}",
         f"hereditary: {'yes' if hereditary else 'no'}",
     ]
     if hereditary:
         lines.append(f"saturated: {'yes' if payload['saturated'] else 'no'}")
     lines.extend(
         [
-            f"closure: {_fmt_set(closure)}",
-            f"saturation of closure: {_fmt_set(sat)}",
-            f"annihilator: {_fmt_set(ann)}",
-            f"double annihilator: {_fmt_set(dann)}",
+            f"closure: {_set_label(closure)}",
+            f"saturation of closure: {_set_label(sat)}",
+            f"annihilator: {_set_label(ann)}",
+            f"double annihilator: {_set_label(dann)}",
         ]
     )
     if finitary is not None:
@@ -198,7 +189,7 @@ def _cmd_arrivals(g: Graph, args) -> int:
         lines.extend(f"  {_fmt_path(p)}" for p in arr.paths)
     else:
         payload = {"finite": False, "witness": list(arr.witness.edges)}
-        lines = [f"Infinite: witness cycle {_fmt_cycle(arr.witness)}"]
+        lines = [f"Infinite: witness cycle {_cycle_label(arr.witness)}"]
     _emit(payload, lines, args.json)
     return 0
 
@@ -217,7 +208,7 @@ def _cmd_ne_cycles(g: Graph, args) -> int:
     payload = {"ne_cycles": rows}
     lines = [f"NE-cycles: {len(found)}"]
     for c, row in zip(found, rows):
-        lines.append(f"  {_fmt_cycle(c)}  finitary: {'yes' if row['finitary'] else 'no'}")
+        lines.append(f"  {_cycle_label(c)}  finitary: {'yes' if row['finitary'] else 'no'}")
     _emit(payload, lines, args.json)
     return 0
 
@@ -234,8 +225,8 @@ def _simple_line(report) -> str:
     if report.simple:
         return "simple: yes"
     if report.witness_subset is not None:
-        return f"simple: no (witness subset: {_fmt_set(report.witness_subset)})"
-    return f"simple: no (witness cycle: {_fmt_cycle(report.witness_cycle)})"
+        return f"simple: no (witness subset: {_set_label(report.witness_subset)})"
+    return f"simple: no (witness cycle: {_cycle_label(report.witness_cycle)})"
 
 
 def _cmd_simple(g: Graph, args) -> int:
@@ -291,6 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Center of the Cuntz-Krieger algebra of a finite directed graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    guarded = {"analyze", "center", "cross-check"}
 
     def add(name: str, handler, help_: str, *, needs_set=False, needs_element=False, degree=False):
         p = sub.add_parser(name, help=help_)
@@ -308,15 +300,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f"candidate monomial guard (default {DEFAULT_ORACLE_BOUND})",
             )
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--max-vertices",
-            type=int,
-            default=DEFAULT_MAX_VERTICES,
-            help=(
-                "vertex guard on the lattice, whose element list can reach 2^|V| sets "
-                f"(default {DEFAULT_MAX_VERTICES})"
-            ),
-        )
+        if name in guarded:
+            p.add_argument(
+                "--max-vertices",
+                type=int,
+                default=DEFAULT_MAX_VERTICES,
+                help=(
+                    "vertex guard on the lattice, whose element list can reach 2^|V| sets "
+                    f"(default {DEFAULT_MAX_VERTICES})"
+                ),
+            )
         p.set_defaults(handler=handler)
         return p
 

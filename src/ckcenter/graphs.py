@@ -3,7 +3,7 @@
 Vertices and edges carry string identifiers; parallel edges and loops are
 allowed.  Vertex subsets are plain frozensets.  The predicates and closures
 here (descendants, hereditary and saturated sets, cycles, exits, the
-condensation into strongly connected components, factor graphs) form the
+condensation into strongly connected components, simplicity) form the
 combinatorial layer the algebraic machinery is built on.
 
 Everything in this module is a pure function of immutable values; nothing
@@ -225,18 +225,6 @@ def canonical_cycle(g: Graph, edge_ids: Iterable[str]) -> Cycle:
 # ---------------------------------------------------------------------------
 # reachability
 
-def reachable_from(g: Graph, sources: Iterable[str]) -> VertexSet:
-    seen = set(vertex_subset(g, sources))
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for e in g.out_edges(v):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return frozenset(seen)
-
-
 def reaches(g: Graph, targets: Iterable[str]) -> VertexSet:
     """All vertices from which some target is reachable (targets included)."""
     seen = set(vertex_subset(g, targets))
@@ -252,7 +240,7 @@ def reaches(g: Graph, targets: Iterable[str]) -> VertexSet:
 
 def descendants(g: Graph, v: str) -> VertexSet:
     """Vertices reachable from v by a path, v itself included."""
-    return reachable_from(g, (v,))
+    return hereditary_closure(g, (v,))
 
 
 def is_hereditary(g: Graph, w: Iterable[str]) -> bool:
@@ -262,8 +250,16 @@ def is_hereditary(g: Graph, w: Iterable[str]) -> bool:
 
 
 def hereditary_closure(g: Graph, s: Iterable[str]) -> VertexSet:
-    s = vertex_subset(g, s)
-    return reachable_from(g, s) if s else frozenset()
+    """Vertices reachable from s, s included; empty for empty s."""
+    seen = set(vertex_subset(g, s))
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for e in g.out_edges(v):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return frozenset(seen)
 
 
 def sinks(g: Graph) -> VertexSet:
@@ -271,39 +267,35 @@ def sinks(g: Graph) -> VertexSet:
 
 
 def is_saturated(g: Graph, w: Iterable[str]) -> bool:
-    """True iff every non-sink outside w keeps an edge whose range is outside w.
+    """True iff w is its own saturation: every non-sink outside w keeps an
+    edge whose range is outside w.
 
     Defined for hereditary w only; anything else is rejected.
     """
     w = vertex_subset(g, w)
-    if not is_hereditary(g, w):
-        raise GraphError(f"set {sorted(w)} is not hereditary")
-    for v in g.vertices:
-        if v in w:
-            continue
-        out = g.out_edges(v)
-        if out and all(e.dst in w for e in out):
-            return False
-    return True
+    return saturation(g, w) == w
 
 
 def saturation(g: Graph, w: Iterable[str]) -> VertexSet:
-    """Least saturated superset: repeatedly absorb non-sinks all of whose
-    edges already land inside."""
+    """Least saturated superset: absorb each non-sink once all its edges land
+    inside.  Each vertex met counts its edges not yet inside, and each edge
+    is counted once, from its range, so the pass is linear in what it
+    absorbs and the edges into it."""
     w = vertex_subset(g, w)
     if not is_hereditary(g, w):
         raise GraphError(f"set {sorted(w)} is not hereditary")
     current = set(w)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in current:
+    outside: dict[str, int] = {}
+    stack = list(w)
+    while stack:
+        for e in g.in_edges(stack.pop()):
+            u = e.src
+            if u in current:
                 continue
-            out = g.out_edges(v)
-            if out and all(e.dst in current for e in out):
-                current.add(v)
-                changed = True
+            outside[u] = outside.get(u, len(g.out_edges(u))) - 1
+            if not outside[u]:
+                current.add(u)
+                stack.append(u)
     return frozenset(current)
 
 
@@ -482,21 +474,6 @@ def find_cycle_within(g: Graph, allowed: Iterable[str]) -> Cycle | None:
     return None
 
 
-def factor_graph(g: Graph, w: Iterable[str]) -> Graph:
-    """Drop a hereditary saturated set w and every edge whose range is in w."""
-    w = vertex_subset(g, w)
-    if not is_hereditary(g, w):
-        raise GraphError(f"set {sorted(w)} is not hereditary")
-    if not is_saturated(g, w):
-        raise GraphError(f"set {sorted(w)} is not saturated")
-    if w == g.vertex_set:
-        raise GraphError("cannot factor by the full vertex set")
-    return Graph(
-        (v for v in g.vertices if v not in w),
-        (e for e in g.edges if e.dst not in w),
-    )
-
-
 @dataclass(frozen=True)
 class SimplicityReport:
     simple: bool
@@ -508,15 +485,19 @@ def is_simple_graph(g: Graph) -> SimplicityReport:
     """Simplicity criterion: no proper nonempty hereditary saturated subset
     and every cycle has an exit.
 
-    A proper hereditary saturated subset exists iff the saturated closure of
-    some vertex's descendants is proper, so scanning vertices suffices.  The
-    witness is the smallest such closure (by size, then members); failing
-    that, the exitless cycle.  Without a proper subset there is only one
-    terminal component, so at most one cycle lacks an exit.
+    Saturation is monotone and every nonempty hereditary set contains a
+    terminal component, which is hereditary itself, so a proper hereditary
+    saturated subset exists iff some terminal component saturates to a
+    proper set, and the smallest such saturation (by size, then members) is
+    the smallest of all.  It is the witness; failing that, the exitless
+    cycle.  The saturations of distinct terminal components are disjoint,
+    as every path from an absorbed vertex ends in its own component, so the
+    scan is linear.  Without a proper subset there is only one terminal
+    component, so at most one cycle lacks an exit.
     """
     proper = []
-    for v in g.vertices:
-        t = saturation(g, hereditary_closure(g, (v,)))
+    for members in condensation(g).terminal:
+        t = saturation(g, members)
         if t != g.vertex_set:
             proper.append(t)
     if proper:

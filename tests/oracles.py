@@ -11,12 +11,16 @@ condensation it is compared against.
 The algebra oracles at the end decide centrality and the center's relations
 by full products and commutators in normal form, the search that the
 library's local certificate replaces; they are quadratic in the size of the
-generators, so they only run on small inputs.
+generators, so they only run on small inputs.  Beside them sit the
+constructions that only tests use: the normal form under an explicit
+choice of special edges, the rotation sum of a cycle, single-monomial
+elements and factor graphs.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from ckcenter import (
@@ -25,10 +29,10 @@ from ckcenter import (
     SimplicityReport,
     arrival_paths,
     commutator,
-    cycle_rotation_sum,
     cycles,
     exits,
     generators,
+    make_monomial,
     multiply,
     star,
     unit,
@@ -311,6 +315,88 @@ def oracle_conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElem
         pe = AlgebraElement(g, {Monomial(p, Path(p.range(g))): 1})
         acc = acc + multiply(multiply(pe, core), star(pe))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# constructions only the tests use
+
+def special_edge_choice(g: Graph, chosen=None) -> dict[str, str]:
+    """One outgoing edge per non-sink vertex, the smallest edge id unless an
+    explicit choice is supplied; an explicit choice must name exactly one
+    outgoing edge of every non-sink and nothing else."""
+    if chosen is None:
+        return {v: min(e.id for e in g.out_edges(v)) for v in g.vertices if g.out_edges(v)}
+    table = {}
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if not out:
+            if v in chosen:
+                raise GraphError(f"special edge given for sink {v!r}")
+            continue
+        if v not in chosen:
+            raise GraphError(f"no special edge chosen for non-sink {v!r}")
+        if chosen[v] not in {e.id for e in out}:
+            raise GraphError(f"edge {chosen[v]!r} does not leave vertex {v!r}")
+        table[v] = chosen[v]
+    extra = set(chosen) - set(table)
+    if extra:
+        raise GraphError(f"special edge for unknown vertex {min(extra)!r}")
+    return table
+
+
+def oracle_normal_form(a: AlgebraElement, special) -> AlgebraElement:
+    """The normal form for an explicit special edge per non-sink vertex:
+    while a term (p1 e)(q1 e)* ends in the special edge e of its source on
+    both sides, replace it by p1 q1* minus (p1 f)(q1 f)* for the other
+    edges f at that source."""
+    g = a.graph
+    gamma = special_edge_choice(g, special)
+    result: dict[Monomial, Fraction] = {}
+    stack = list(a.terms.items())
+    while stack:
+        m, c = stack.pop()
+        pe, qe = m.p.edges, m.q.edges
+        if not (pe and qe and pe[-1] == qe[-1] and gamma.get(g.edge(pe[-1]).src) == pe[-1]):
+            result[m] = result.get(m, 0) + c
+            continue
+        ps, qs = m.p.source, m.q.source
+        stack.append((Monomial(Path(ps, pe[:-1]), Path(qs, qe[:-1])), c))
+        for f in g.out_edges(g.edge(pe[-1]).src):
+            if f.id != pe[-1]:
+                stack.append((Monomial(Path(ps, pe[:-1] + (f.id,)), Path(qs, qe[:-1] + (f.id,))), -c))
+    return AlgebraElement(g, result)
+
+
+def from_monomial(g: Graph, p: Path, q: Path, coeff=1) -> AlgebraElement:
+    return AlgebraElement(g, {make_monomial(g, p, q): Fraction(coeff)})
+
+
+def cycle_rotation_sum(g: Graph, cycle: Cycle) -> AlgebraElement:
+    """The sum of all rotations of an exitless cycle, each as a real path."""
+    if exits(g, cycle):
+        raise GraphError(f"cycle {cycle.edges} has an exit")
+    ids = cycle.edges
+    return AlgebraElement(g, {
+        Monomial(Path(g.edge(eid).src, ids[i:] + ids[:i]), Path(g.edge(eid).src)): 1
+        for i, eid in enumerate(ids)
+    })
+
+
+def factor_graph(g: Graph, w) -> Graph:
+    """Drop a hereditary saturated set w and every edge whose range is in w."""
+    w = frozenset(w)
+    if not w <= g.vertex_set:
+        raise GraphError(f"unknown vertex {min(w - g.vertex_set)!r}")
+    if not oracle_is_hereditary(g, w):
+        raise GraphError(f"set {sorted(w)} is not hereditary")
+    if not oracle_is_saturated(g, w):
+        raise GraphError(f"set {sorted(w)} is not saturated")
+    if w == g.vertex_set:
+        raise GraphError("cannot factor by the full vertex set")
+    return Graph(
+        (v for v in g.vertices if v not in w),
+        (e for e in g.edges if e.dst not in w),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ckcenter import (
     commutator,
     compute_center,
     cross_check_center,
-    cycle_rotation_sum,
     double_annihilator,
     edge,
     edge_star,
@@ -40,10 +39,14 @@ from ckcenter import (
     vertex_subset,
     zero,
 )
-from ckcenter.algebra import from_monomial
-
 from conftest import cycle_graph
-from oracles import all_subsets, oracle_hereditary_sets, oracle_is_finitary
+from oracles import (
+    all_subsets,
+    cycle_rotation_sum,
+    from_monomial,
+    oracle_hereditary_sets,
+    oracle_is_finitary,
+)
 
 REPORT: list[str] = []
 

@@ -305,3 +305,39 @@ def test_deep_chain_exits_0(run):
     code, out, err = run(["arrivals", "--set", "s"], graph_text=ring)
     assert code == 0 and err == ""
     assert out == "Infinite: witness cycle " + "·".join(f"e{i}" for i in range(n)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hereditary", "--set", "v1"],
+        ["arrivals", "--set", "v1"],
+        ["ne-cycles"],
+        ["simple"],
+        ["normal-form", "1 v1"],
+        ["check-central", "1 v1"],
+    ],
+)
+def test_max_vertices_only_on_guarded_subcommands(run, argv):
+    # Only analyze, center and cross-check list or guard the lattice.
+    code, out, err = run(argv + ["--max-vertices", "3"], graph_text=C3)
+    assert code == 2
+    assert out == ""
+    assert "--max-vertices" in err
+
+
+def test_simple_and_hereditary_on_3000_chain(run):
+    n = 3000
+    chain = json.dumps({
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"id": f"e{i}", "src": f"v{i}", "dst": f"v{i + 1}"} for i in range(n - 1)],
+    })
+    code, out, err = run(["simple"], graph_text=chain)
+    assert code == 0 and err == ""
+    assert out == "simple: yes\n"
+    code, out, err = run(["hereditary", "--set", f"v{n - 1}"], graph_text=chain)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "saturated: no" in lines
+    assert "saturation of closure: {" + ",".join(sorted(f"v{i}" for i in range(n))) + "}" in lines
+    assert lines[-1] == "finitary: yes"

@@ -13,7 +13,6 @@ from ckcenter import (
     cycles,
     descendants,
     exits,
-    factor_graph,
     graph_to_json_dict,
     hereditary_closure,
     is_hereditary,
@@ -30,6 +29,7 @@ from ckcenter.graphs import find_cycle_within
 from conftest import cycle_graph
 from oracles import (
     all_subsets,
+    factor_graph,
     oracle_cycles,
     oracle_descendants,
     oracle_hereditary_sets,
@@ -236,6 +236,12 @@ def test_saturation_is_least_fixpoint(exhaustive_corpus):
             assert is_saturated(g, got)
             if oracle_is_saturated(g, w):
                 assert got == w
+
+
+def test_is_saturated_matches_oracle(exhaustive_corpus):
+    for g in exhaustive_corpus:
+        for w in oracle_hereditary_sets(g):
+            assert is_saturated(g, w) == oracle_is_saturated(g, w)
 
 
 # ---------------------------------------------------------------------------
