@@ -419,32 +419,64 @@ def center_degree_bounded(
 ) -> list[AlgebraElement]:
     """Brute-force slice of the center: the exact solution space of
     "commutes with every generator" within the span of basis monomials of
-    bounded degree.
+    bounded degree, returned as the canonical reduced echelon basis.
 
-    Products of bounded monomials with generators stay within one extra
-    degree and normalization never lengthens a monomial, so the linear
-    system below is exact; its kernel is precisely the set of central
-    elements expressible within the degree bound.  The basis returned is
-    the canonical reduced echelon one.
+    The guard counts every candidate, but edge rows on the candidates with
+    s(p) = s(q) decide the same kernel:
+    1. [v, p q*] is +-p q* when s(p) != s(q), so vertex rows zero those
+       candidates and vanish on the rest;
+    2. an element with only s(p) = s(q) terms that commutes with every edge
+       commutes with every ghost (the corner lemma of is_central);
+    3. [e, x] has grade |p| - |q| + 1 on a term p q* of x, and rewriting
+       keeps grades, so each grade is an independent block.
     """
     monos = bounded_basis_monomials(g, degree)
+    return [
+        AlgebraElement(g, {monos[j]: v for j, v in vec.items()})
+        for vec in _kernel_vectors(g, monos, oracle_bound)
+    ]
+
+
+def _kernel_vectors(g: Graph, monos: list[Monomial], oracle_bound: int) -> list[dict[int, Fraction]]:
+    """center_degree_bounded's kernel as sparse vectors over monos.  Rows
+    come from the product rules: e (p q*) = (e p) q* when s(p) = r(e), and
+    (p q*) e is (p e) r(e)* when q = s(e) or p t* when q = e t.  Only
+    (e)(q1 e)* with e special is not a basis monomial; it is rewritten once."""
     if len(monos) > oracle_bound:
         raise SizeLimitError(
             f"{len(monos)} candidate monomials exceed the oracle bound {oracle_bound}"
         )
-    gens = list(generators(g))
-    rows: dict[tuple[str, Monomial], dict[int, Fraction]] = {}
+    gamma = _default_special(g)
+    blocks: dict[int, list[int]] = {}
     for j, m in enumerate(monos):
-        el = AlgebraElement(g, {m: Fraction(1)})
-        for label, gen in gens:
-            c = commutator(el, gen)
-            for mono_out, coeff in c._terms.items():
-                rows.setdefault((label, mono_out), {})[j] = coeff
-    basis = nullspace(rows.values(), len(monos))
-    return [
-        AlgebraElement(g, {monos[j]: v for j, v in enumerate(vec) if v})
-        for vec in basis
-    ]
+        if m.p.source == m.q.source:
+            blocks.setdefault(len(m.p) - len(m.q), []).append(j)
+    basis = []
+    for cols in blocks.values():
+        rows: dict[tuple, dict[int, int]] = {}
+        for k, j in enumerate(cols):
+            p, q = monos[j].p, monos[j].q
+            for e in g.edges:
+                out = []
+                if p.source == e.dst:
+                    if not p.edges and q.edges[-1:] == (e.id,) and gamma[e.src] == e.id:
+                        q1 = q.edges[:-1]
+                        out.append(((e.src, (), q.source, q1), 1))
+                        out += [((e.src, (f.id,), q.source, q1 + (f.id,)), -1)
+                                for f in g.out_edges(e.src) if f.id != e.id]
+                    else:
+                        out.append(((e.src, (e.id,) + p.edges, q.source, q.edges), 1))
+                if q.edges[:1] == (e.id,):
+                    out.append(((p.source, p.edges, e.dst, q.edges[1:]), -1))
+                elif not q.edges and q.source == e.src:
+                    out.append(((p.source, p.edges + (e.id,), e.dst, ()), -1))
+                for key, c in out:
+                    row = rows.setdefault((e.id, key), {})
+                    row[k] = row.get(k, 0) + c
+        for vec in nullspace(rows.values(), len(cols)):
+            basis.append({cols[k]: v for k, v in enumerate(vec) if v})
+    # each vector's free column is its last, as pivots lead their rows
+    return sorted(basis, key=max)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from .algebra import (
     AlgebraElement,
     Monomial,
+    _kernel_vectors,
     bounded_basis_monomials,
-    center_degree_bounded,
     central_idempotent,
     conjugated_cycle_power,
     cycle_rotations,
@@ -41,7 +41,7 @@ from .hereditary import (
     finitary_annihilator_lattice,
     lattice_atoms,
 )
-from .linalg import in_span, rank
+from .linalg import _eliminate, _pivot_table, rank
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def compute_center(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Center
             laurent.append(None)
             continue
         plus = conjugated_cycle_power(g, cycle, 1)
-        minus = conjugated_cycle_power(g, cycle, -1)
+        minus = star(plus)
         laurent.append((plus, minus))
         gens.append(plus)
         labels.append(f"z({_cycle_label(cycle)})^1")
@@ -262,11 +262,12 @@ def predicted_central_elements(
             for j in (k, -k):
                 out.append((f"z({_cycle_label(cycle)})^{j}", conjugated_cycle_power(g, cycle, j)))
             k += 1
-    monos = set(bounded_basis_monomials(g, degree))
+    # normal-form terms are basis monomials, so they are bounded ones when
+    # both halves fit the degree
     return [
         (label, el)
         for label, el in out
-        if all(m in monos for m in normal_form(el).terms)
+        if all(max(len(m.p), len(m.q)) <= degree for m in normal_form(el).terms)
     ]
 
 
@@ -285,25 +286,18 @@ def cross_check_center(
     """
     monos = bounded_basis_monomials(g, degree)
     index = {m: j for j, m in enumerate(monos)}
-    kernel = center_degree_bounded(g, degree, oracle_bound=oracle_bound)
-    kernel_vecs = []
-    for el in kernel:
-        vec = _coordinates(index, el)
-        if vec is None:
-            raise RuntimeError("internal inconsistency: kernel element outside basis")
-        kernel_vecs.append(vec)
+    kernel_vecs = _kernel_vectors(g, monos, oracle_bound)
+    kernel = _pivot_table(kernel_vecs)
     predicted = predicted_central_elements(g, degree, max_vertices=max_vertices)
     pred_vecs = []
     labels = []
-    in_kernel = True
     for label, el in predicted:
         vec = _coordinates(index, el)
         if vec is None:
             raise RuntimeError("internal inconsistency: predicted element escaped filter")
         pred_vecs.append(vec)
         labels.append(label)
-        if not in_span(kernel_vecs, vec):
-            in_kernel = False
+    in_kernel = all(not _eliminate(vec, kernel) for vec in pred_vecs)
     predicted_dim = rank(pred_vecs)
     return CenterCrossCheck(
         degree=degree,

@@ -214,21 +214,28 @@ def _verify_lattice(g: Graph, elements: list[VertexSet], atoms: list[VertexSet])
     atom pairs, keeping the cost linear in the lattice.
     """
     present = set(elements)
+    exhaustive = len(elements) <= _PAIRWISE_VERIFY_CAP
+    joined = elements if exhaustive else atoms
+    keep = set(joined)
+    ann = {}
     for w in elements:
-        if double_annihilator(g, w) != w:
+        a = annihilator(g, w)
+        if annihilator(g, a) != w:
             raise RuntimeError(f"internal inconsistency: {sorted(w)} is not annihilator-closed")
         if not is_hereditary(g, w):
             raise RuntimeError(f"internal inconsistency: {sorted(w)} is not hereditary")
-        if annihilator(g, w) not in present:
+        if a not in present:
             raise RuntimeError(f"internal inconsistency: complement of {sorted(w)} missing")
-    exhaustive = len(elements) <= _PAIRWISE_VERIFY_CAP
-    for w1, w2 in product(elements, elements if exhaustive else atoms):
+        if w in keep:
+            ann[w] = a
+    for w1, w2 in product(elements, joined):
         if w1 & w2 not in present:
             raise RuntimeError(
                 f"internal inconsistency: meet of {sorted(w1)} and {sorted(w2)} missing"
             )
-    for w1, w2 in product(elements, repeat=2) if exhaustive else product(atoms, repeat=2):
-        if lattice_join(g, w1, w2) not in present:
+    for w1, w2 in product(joined, repeat=2):
+        # lattice_join's formula; an atom met with the top is an element, so in ann
+        if annihilator(g, ann[w1] & ann[w2]) not in present:
             raise RuntimeError(
                 f"internal inconsistency: join of {sorted(w1)} and {sorted(w2)} missing"
             )

@@ -43,33 +43,34 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
     return r
 
 
-def _insert(row: Row, pivots: dict[int, Row]) -> bool:
-    """Add one row to the RREF pivot table; False if it was dependent."""
-    r = _eliminate(row, pivots)
-    if not r:
-        return False
-    c = min(r)
-    inv = _ONE / r[c]
-    r = {cc: vv * inv for cc, vv in r.items()}
-    for pr in pivots.values():
-        f = pr.get(c)
-        if f:
-            for cc, vv in r.items():
-                nv = pr.get(cc, 0) - f * vv
-                if nv:
-                    pr[cc] = nv
-                else:
-                    pr.pop(cc, None)
-    pivots[c] = r
-    return True
+def _pivot_table(rows: Iterable[Sequence[Fraction] | Row]) -> dict[int, Row]:
+    """The RREF of the rows' span, pivot column -> its reduced row, built by
+    adding one row at a time; a dependent row eliminates to nothing."""
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        r = _eliminate(_as_row(row), pivots)
+        if not r:
+            continue
+        c = min(r)
+        inv = _ONE / r[c]
+        r = {cc: vv * inv for cc, vv in r.items()}
+        for pr in pivots.values():
+            f = pr.get(c)
+            if f:
+                for cc, vv in r.items():
+                    nv = pr.get(cc, 0) - f * vv
+                    if nv:
+                        pr[cc] = nv
+                    else:
+                        pr.pop(cc, None)
+        pivots[c] = r
+    return pivots
 
 
 def nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
     """Canonical basis of {x : Ax = 0}: one vector per free column, with a 1
     in the free position and pivot entries read off the RREF."""
-    pivots: dict[int, Row] = {}
-    for row in rows:
-        _insert(_as_row(row), pivots)
+    pivots = _pivot_table(rows)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -85,16 +86,8 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
 
 
 def rank(vectors: Iterable[Sequence[Fraction] | Row]) -> int:
-    pivots: dict[int, Row] = {}
-    count = 0
-    for vec in vectors:
-        if _insert(_as_row(vec), pivots):
-            count += 1
-    return count
+    return len(_pivot_table(vectors))
 
 
 def in_span(vectors: Iterable[Sequence[Fraction] | Row], target: Sequence[Fraction] | Row) -> bool:
-    pivots: dict[int, Row] = {}
-    for vec in vectors:
-        _insert(_as_row(vec), pivots)
-    return not _eliminate(_as_row(target), pivots)
+    return not _eliminate(_as_row(target), _pivot_table(vectors))

@@ -11,7 +11,9 @@ condensation it is compared against.
 The algebra oracles at the end decide centrality and the center's relations
 by full products and commutators in normal form, the search that the
 library's local certificate replaces; they are quadratic in the size of the
-generators, so they only run on small inputs.  Beside them sit the
+generators, so they only run on small inputs.  The degree-bounded kernel
+oracle keeps every candidate and every generator's commutator rows, sharing
+only the candidate list and the RREF with the package.  Beside them sit the
 constructions that only tests use: the normal form under an explicit
 choice of special edges, the rotation sum of a cycle, single-monomial
 elements and factor graphs.
@@ -27,7 +29,9 @@ from ckcenter import (
     Cycle,
     Graph,
     SimplicityReport,
+    SizeLimitError,
     arrival_paths,
+    bounded_basis_monomials,
     commutator,
     cycles,
     exits,
@@ -40,6 +44,7 @@ from ckcenter import (
 )
 from ckcenter.algebra import AlgebraElement, Monomial
 from ckcenter.graphs import GraphError, Path
+from ckcenter.linalg import nullspace
 
 
 def reach_pairs(g: Graph) -> set[tuple[str, str]]:
@@ -315,6 +320,28 @@ def oracle_conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElem
         pe = AlgebraElement(g, {Monomial(p, Path(p.range(g))): 1})
         acc = acc + multiply(multiply(pe, core), star(pe))
     return acc
+
+
+def oracle_center_degree_bounded(g: Graph, degree: int, oracle_bound: int = 150) -> list[AlgebraElement]:
+    """The degree-bounded kernel from every candidate and every generator:
+    one row per (generator, monomial) of each normal-form commutator, solved
+    as one system by the package's RREF."""
+    monos = bounded_basis_monomials(g, degree)
+    if len(monos) > oracle_bound:
+        raise SizeLimitError(
+            f"{len(monos)} candidate monomials exceed the oracle bound {oracle_bound}"
+        )
+    gens = list(generators(g))
+    rows: dict[tuple[str, Monomial], dict[int, Fraction]] = {}
+    for j, m in enumerate(monos):
+        el = AlgebraElement(g, {m: Fraction(1)})
+        for label, gen in gens:
+            for mono_out, coeff in commutator(el, gen).terms.items():
+                rows.setdefault((label, mono_out), {})[j] = coeff
+    return [
+        AlgebraElement(g, {monos[j]: v for j, v in enumerate(vec) if v})
+        for vec in nullspace(rows.values(), len(monos))
+    ]
 
 
 # ---------------------------------------------------------------------------
