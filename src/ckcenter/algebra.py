@@ -1,12 +1,13 @@
 """Exact symbolic arithmetic in the path algebra of a directed graph.
 
 Elements are rational linear combinations of monomials p·q* built from two
-paths with a common range, q entering starred.  Products follow the algebra
-relations: the ghost half q* composes against the real half of the next
-factor, surviving only when one path begins with the other.  Vertices are
-idempotents, distinct edges annihilate under e*f, and at every non-sink v
-the real edges resolve the identity: v equals the sum of ee* over its
-outgoing edges.
+paths with a common range, q entering starred; monomials are tuples, and a
+coefficient (Rational) is an int, or a Fraction when not integral.  Products
+follow the algebra relations: the ghost half q* composes against the real
+half of the next factor, surviving only when one path begins with the
+other.  Vertices are idempotents, distinct edges annihilate under e*f, and
+at every non-sink v the real edges resolve the identity: v equals the sum
+of ee* over its outgoing edges.
 
 That last relation powers the normal form.  Fixing one special outgoing
 edge per non-sink vertex, the smallest edge id, any monomial whose
@@ -24,10 +25,9 @@ here is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .graphs import (
     Cycle,
@@ -42,14 +42,13 @@ from .graphs import (
 from .hereditary import arrival_paths
 from .linalg import nullspace
 
-Rational = Fraction
+Rational = int | Fraction
 MIDDLE_DOT = "·"
 
 DEFAULT_ORACLE_BOUND = 150
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """p paired with a starred q; valid when both paths share their range."""
 
     p: Path
@@ -90,16 +89,18 @@ class AlgebraElement:
 
     def __init__(self, graph: Graph, terms: Mapping[Monomial, Rational]):
         self.graph = graph
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Rational] = {}
         for m, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
             if c:
                 clean[m] = c
         self._terms = clean
         self._nf: AlgebraElement | None = None
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, Rational]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -109,7 +110,7 @@ class AlgebraElement:
         _same_graph(self, other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return AlgebraElement(self.graph, acc)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
@@ -166,22 +167,22 @@ def zero(g: Graph) -> AlgebraElement:
 def vertex(g: Graph, v: str) -> AlgebraElement:
     vertex_subset(g, (v,))
     p = Path(v)
-    return AlgebraElement(g, {Monomial(p, p): Fraction(1)})
+    return AlgebraElement(g, {Monomial(p, p): 1})
 
 
 def unit(g: Graph) -> AlgebraElement:
     """The identity: the sum of all vertex idempotents."""
-    return AlgebraElement(g, {Monomial(Path(v), Path(v)): Fraction(1) for v in g.vertices})
+    return AlgebraElement(g, {Monomial(Path(v), Path(v)): 1 for v in g.vertices})
 
 
 def edge(g: Graph, edge_id: str) -> AlgebraElement:
     e = g.edge(edge_id)
-    return AlgebraElement(g, {Monomial(Path(e.src, (e.id,)), Path(e.dst)): Fraction(1)})
+    return AlgebraElement(g, {Monomial(Path(e.src, (e.id,)), Path(e.dst)): 1})
 
 
 def edge_star(g: Graph, edge_id: str) -> AlgebraElement:
     e = g.edge(edge_id)
-    return AlgebraElement(g, {Monomial(Path(e.dst), Path(e.src, (e.id,))): Fraction(1)})
+    return AlgebraElement(g, {Monomial(Path(e.dst), Path(e.src, (e.id,))): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +212,12 @@ def _mono_product(g: Graph, m1: Monomial, m2: Monomial) -> Monomial | None:
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _same_graph(a, b)
     g = a.graph
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Rational] = {}
     for m1, c1 in a._terms.items():
         for m2, c2 in b._terms.items():
             m = _mono_product(g, m1, m2)
             if m is not None:
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
     return normal_form(AlgebraElement(g, acc))
 
 
@@ -238,12 +239,12 @@ def normal_form(a: AlgebraElement) -> AlgebraElement:
         return a._nf
     g = a.graph
     gamma = _default_special(g)
-    result: dict[Monomial, Fraction] = {}
+    result: dict[Monomial, Rational] = {}
     stack = list(a._terms.items())
     while stack:
         m, c = stack.pop()
         if not _is_junction_redex(g, gamma, m):
-            nc = result.get(m, Fraction(0)) + c
+            nc = result.get(m, 0) + c
             if nc:
                 result[m] = nc
             else:
@@ -311,16 +312,16 @@ def is_central(a: AlgebraElement) -> tuple[bool, str | None]:
         for v in g.vertices:
             if v in off:
                 return False, v
-    corner: dict[str, list[tuple[Path, Path, Fraction]]] = {}
+    corner: dict[str, list[tuple[Path, Path, Rational]]] = {}
     for m, c in terms.items():
         corner.setdefault(m.p.source, []).append((m.p, m.q, c))
 
-    def element(keyed: dict[tuple, Fraction]) -> AlgebraElement:
+    def element(keyed: dict[tuple, Rational]) -> AlgebraElement:
         return AlgebraElement(g, {Monomial(Path(*k[:2]), Path(*k[2:])): c for k, c in keyed.items()})
 
     for e in g.edges:
         # z_{s(e)} e: a term p s(e)* becomes (p e) r(e)*, a term p (e t)* becomes p t*
-        left: dict[tuple, Fraction] = {}
+        left: dict[tuple, Rational] = {}
         for p, q, c in corner.get(e.src, ()):
             if q.edges[:1] == (e.id,):
                 key = (p.source, p.edges, e.dst, q.edges[1:])
@@ -345,7 +346,7 @@ def central_idempotent(g: Graph, w) -> AlgebraElement:
     arr = arrival_paths(g, w)
     if not arr.is_finite:
         raise GraphError(f"set {sorted(vertex_subset(g, w))} is not finitary")
-    return AlgebraElement(g, {Monomial(p, p): Fraction(1) for p in arr.paths})
+    return AlgebraElement(g, {Monomial(p, p): 1 for p in arr.paths})
 
 
 def cycle_rotations(g: Graph, cycle: Cycle) -> dict[str, tuple[str, ...]]:
@@ -368,11 +369,11 @@ def conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElement:
     if not arr.is_finite:
         raise GraphError(f"cycle {cycle.edges} is not finitary")
     rotations = cycle_rotations(g, cycle)
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Rational] = {}
     for p in arr.paths:
         loop = Path(p.source, p.edges + rotations[p.range(g)] * abs(k))
         m = Monomial(loop, p) if k >= 0 else Monomial(p, loop)
-        acc[m] = acc.get(m, Fraction(0)) + 1
+        acc[m] = acc.get(m, 0) + 1
     out = AlgebraElement(g, acc)
     return normal_form(out) if k == 0 else out
 
@@ -553,7 +554,7 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
     if s == "0":
         return zero(g)
     pieces = _TERM_SPLIT.split(s)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Rational] = {}
 
     def add(chunk: str, sign: int) -> None:
         chunk = chunk.strip()
@@ -566,7 +567,7 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
         except (ValueError, ZeroDivisionError):
             raise GraphError(f"bad coefficient {coeff_text!r}") from None
         m = parse_monomial(g, mono_text.strip())
-        terms[m] = terms.get(m, Fraction(0)) + sign * c
+        terms[m] = terms.get(m, 0) + sign * c
 
     add(pieces[0], 1)
     for sep, chunk in zip(pieces[1::2], pieces[2::2]):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraElement,
-    Monomial,
     _kernel_vectors,
     bounded_basis_monomials,
     central_idempotent,
@@ -30,8 +29,6 @@ from .algebra import (
     is_central,
     normal_form,
     star,
-    unit,
-    vertex,
 )
 from .graphs import Cycle, Graph, Path
 from .hereditary import (
@@ -100,30 +97,57 @@ def _cycle_label(cycle: Cycle) -> str:
     return "·".join(cycle.edges)
 
 
-def _prefix_free(paths) -> bool:
-    """No path begins another, nor equals it.  Sorted, a path that begins
-    another path begins its successor."""
-    keys = sorted((p.source, p.edges) for p in paths)
-    return not any(s == t and f[: len(e)] == e for (s, e), (t, f) in zip(keys, keys[1:]))
+def _trie(paths) -> dict:
+    """The paths' trie, nested dicts keyed by source then edge, or {} if one
+    path begins or repeats another, so ends at an inner node or a shared leaf."""
+    root: dict = {}
+    ends = []
+    for p in paths:
+        node = root.setdefault(p.source, {})
+        for e in p.edges:
+            node = node.setdefault(e, {})
+        ends.append(node)
+    return {} if any(ends) or len(set(map(id, ends))) < len(ends) else root
+
+
+def _refines(g: Graph, ptrie: dict, qtrie: dict) -> bool:
+    """Σ_{p∈P} p·p* = Σ_{q∈Q} q·q* for prefix codes with these tries, when
+    the p below each q form a complete code: one child per edge at the range
+    of each inner node, collapsed to q·q* by relation (3), v = Σ e·e*.  For
+    Q the vertices the test is exact: a missing child y leaves y·y*,
+    orthogonal to every p·p*."""
+    if ptrie.keys() != qtrie.keys():
+        return False
+    stack = [(v, ptrie[v], qtrie[v]) for v in qtrie]
+    while stack:
+        at, pnode, qnode = stack.pop()
+        if pnode or qnode:
+            edges = {e.id: e.dst for e in g.out_edges(at)}
+            if pnode.keys() != (qnode or edges).keys():
+                return False
+            stack.extend((edges[k], pnode[k], qnode.get(k, {})) for k in pnode)
+    return True
 
 
 def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
     """Certify the relations from the generators' shape, in time linear in
     their size.  Each e(A) must be a sum of p p* with coefficient 1, the p
-    over all atoms prefix-free (arrival paths of disjoint hereditary sets
+    over all atoms a prefix code (arrival paths of disjoint hereditary sets
     are), so e(A)^2 = e(A), e(A) e(B) = 0 and e(A)* = e(A) hold term by
-    term.  A T-atom's plus must be the sum of (p c_v) p* over a prefix-free
-    set P, c_v the cycle's rotation at v = r(p), and minus its star; as
-    c_v c_v* = v = c_v* c_v, plus minus = minus plus = sum of p p* over P,
-    which must equal e(A), and then e(A) z = z e(A) = z.
-    """
+    term, and complete, so the e(A) sum to 1.  A T-atom's plus must be the
+    sum of (p c_v) p* over a prefix code P, c_v the cycle's rotation at v =
+    r(p), and minus its star; with one edge out of each cycle vertex, plus
+    minus = minus plus = sum of p p* over P, which must refine e(A), and
+    then e(A) z = z e(A) = z.  compute_center's Arr(C) always refines
+    Arr(A): each p enters A first at one q in Arr(A), then stays in A, the
+    double annihilator of C, whose vertices all reach C (a vertex that
+    misses C has its closure in C's annihilator) and which, finitary, has
+    no other cycle; so the suffixes below q form a complete code at r(q)."""
     terms = [(m, c) for e in idempotents for m, c in e.terms.items()]
     if any(m.p != m.q or c != 1 for m, c in terms):
         return False
-    halves = [m.p for m, _ in terms]
-    if not _prefix_free(halves) or AlgebraElement(g, {Monomial(p, p): 1 for p in halves}) != unit(g):
-        return False
-    if not all(is_central(e)[0] for e in idempotents):
+    complete = _refines(g, _trie(m.p for m, _ in terms), {v: {} for v in g.vertices})
+    if not complete or not all(is_central(e)[0] for e in idempotents):
         return False
     for atom, e, pair in zip(atoms, idempotents, laurent):
         if pair is None:
@@ -137,14 +161,12 @@ def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
             if c != 1 or loop is None or m.p != Path(p.source, p.edges + loop):
                 return False
             arrivals.append(p)
-        if minus.terms != star(plus).terms or not _prefix_free(arrivals):
+        ptrie = _trie(arrivals)
+        exitless = all(len(g.out_edges(v)) == 1 for v in rotations)
+        if not ptrie or not exitless or minus.terms != star(plus).terms:
             return False
-        for v, c in rotations.items():
-            if AlgebraElement(g, {Monomial(Path(v, c), Path(v, c)): 1}) != vertex(g, v):
-                return False
-        if AlgebraElement(g, {Monomial(p, p): 1 for p in arrivals}) != e:
-            return False
-        if not (is_central(plus)[0] and is_central(minus)[0]):
+        refined = _refines(g, ptrie, _trie(m.p for m in e.terms))
+        if not (refined and is_central(plus)[0] and is_central(minus)[0]):
             return False
     return True
 

@@ -14,6 +14,7 @@ Every subcommand reads a graph as JSON from a file path or from stdin
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -276,6 +277,7 @@ def _cmd_cross_check(g: Graph, args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckcenter",

@@ -150,9 +150,9 @@ def set_sort_key(w: VertexSet) -> tuple[int, tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 # paths and cycles
 
-@dataclass(frozen=True)
-class Path:
-    """A composable edge sequence; with no edges it is just its source vertex."""
+class Path(NamedTuple):
+    """A composable edge sequence; with no edges it is just its source vertex.
+    A tuple, hashed in C; its len is the edge count."""
 
     source: str
     edges: tuple[str, ...] = ()

@@ -30,7 +30,7 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
     entries in free columns.
     """
     r = dict(row)
-    for c in sorted(set(r) & set(pivots)):
+    for c in sorted(r.keys() & pivots.keys()):
         f = r.get(c)
         if not f:
             continue
@@ -47,6 +47,7 @@ def _pivot_table(rows: Iterable[Sequence[Fraction] | Row]) -> dict[int, Row]:
     """The RREF of the rows' span, pivot column -> its reduced row, built by
     adding one row at a time; a dependent row eliminates to nothing."""
     pivots: dict[int, Row] = {}
+    holders: dict[int, set[int]] = {}  # column -> pivots of the rows holding it
     for row in rows:
         r = _eliminate(_as_row(row), pivots)
         if not r:
@@ -54,16 +55,20 @@ def _pivot_table(rows: Iterable[Sequence[Fraction] | Row]) -> dict[int, Row]:
         c = min(r)
         inv = _ONE / r[c]
         r = {cc: vv * inv for cc, vv in r.items()}
-        for pr in pivots.values():
-            f = pr.get(c)
-            if f:
-                for cc, vv in r.items():
-                    nv = pr.get(cc, 0) - f * vv
-                    if nv:
-                        pr[cc] = nv
-                    else:
-                        pr.pop(cc, None)
+        for pc in list(holders.get(c, ())):
+            pr = pivots[pc]
+            f = pr[c]
+            for cc, vv in r.items():
+                nv = pr.get(cc, 0) - f * vv
+                if nv:
+                    pr[cc] = nv
+                    holders.setdefault(cc, set()).add(pc)
+                else:
+                    del pr[cc]
+                    holders[cc].discard(pc)
         pivots[c] = r
+        for cc in r:
+            holders.setdefault(cc, set()).add(c)
     return pivots
 
 

@@ -11,12 +11,13 @@ condensation it is compared against.
 The algebra oracles at the end decide centrality and the center's relations
 by full products and commutators in normal form, the search that the
 library's local certificate replaces; they are quadratic in the size of the
-generators, so they only run on small inputs.  The degree-bounded kernel
-oracle keeps every candidate and every generator's commutator rows, sharing
-only the candidate list and the RREF with the package.  Beside them sit the
-constructions that only tests use: the normal form under an explicit
-choice of special edges, the rotation sum of a cycle, single-monomial
-elements and factor graphs.
+generators, so they only run on small inputs.  The normal-form comparisons
+that the certificate's complete prefix codes replace sit beside them.  The
+degree-bounded kernel oracle keeps every candidate and every generator's
+commutator rows, sharing only the candidate list and the RREF with the
+package.  Beside them sit the constructions that only tests use: the normal
+form under an explicit choice of special edges, the rotation sum of a
+cycle, single-monomial elements and factor graphs.
 """
 
 from __future__ import annotations
@@ -297,6 +298,25 @@ def oracle_verify(g: Graph, atoms, idempotents, laurent) -> bool:
         if star(plus) != minus:
             return False
     return True
+
+
+def oracle_prefix_free(paths) -> bool:
+    """No path begins another, nor equals it.  Sorted, a path that begins
+    another path begins its successor."""
+    keys = sorted((p.source, p.edges) for p in paths)
+    return not any(s == t and f[: len(e)] == e for (s, e), (t, f) in zip(keys, keys[1:]))
+
+
+def oracle_code_sum_equals(g: Graph, paths, target: AlgebraElement) -> bool:
+    """Σ_{p∈paths} p·p* = target, compared in normal form: the test the
+    center's certificate made before it read complete prefix codes."""
+    return AlgebraElement(g, {Monomial(p, p): 1 for p in paths}) == target
+
+
+def oracle_rotation_is_unit(g: Graph, v: str, rotation: tuple[str, ...]) -> bool:
+    """c·c* = v for the closed path c at v, compared in normal form."""
+    c = Path(v, rotation)
+    return AlgebraElement(g, {Monomial(c, c): 1}) == AlgebraElement(g, {Monomial(Path(v), Path(v)): 1})
 
 
 def oracle_conjugated_cycle_power(g: Graph, cycle: Cycle, k: int) -> AlgebraElement:

@@ -14,22 +14,29 @@ from ckcenter import (
     central_idempotent,
     compute_center,
     conjugated_cycle_power,
+    cycles,
     format_element,
     generators,
     is_central,
     lattice_atoms,
     normal_form,
+    star,
+    unit,
 )
 from ckcenter.algebra import AlgebraElement, Monomial
-from ckcenter.center import _verify
-from ckcenter.hereditary import _verify_atoms
+from ckcenter.center import _refines, _trie, _verify
+from ckcenter.hereditary import _verify_atoms, path_sort_key
 from ckcenter.cli import main
 from ckcenter.graphs import Path
 
+from conftest import cycle_graph
 from oracles import (
     exhaustive_graphs,
+    oracle_code_sum_equals,
     oracle_conjugated_cycle_power,
     oracle_is_central,
+    oracle_prefix_free,
+    oracle_rotation_is_unit,
     oracle_verify,
 )
 
@@ -194,6 +201,153 @@ def test_mutations_fail_verification_like_the_oracle():
                 assert is_central(mutant) == oracle_is_central(mutant), label
                 kinds.add(kind)
     assert kinds == {"drop", "perturb", "swap"}
+
+
+# ---------------------------------------------------------------------------
+# complete prefix codes in place of normal forms
+
+def _children(g: Graph, p: Path) -> list[Path]:
+    return [Path(p.source, p.edges + (f.id,)) for f in g.out_edges(p.range(g))]
+
+
+def _code_mutants(g: Graph, paths: list[Path]):
+    """A prefix code, then five changes of each path: drop it, repeat it,
+    split it into all its children (which keeps the sum), into all but one,
+    or add one child beside it."""
+    yield paths
+    for i, p in enumerate(paths):
+        rest = paths[:i] + paths[i + 1 :]
+        kids = _children(g, p)
+        yield rest
+        yield paths + [p]
+        if kids:
+            yield rest + kids
+            yield rest + kids[1:]
+            yield paths + kids[:1]
+
+
+def _idempotents(report):
+    return [e for e, label in zip(report.generators, report.generator_labels) if label.startswith("e(")]
+
+
+def test_complete_codes_match_normal_forms(exhaustive_corpus, random_graphs):
+    """Σ p·p* = 1 read off the trie agrees with prefix-freeness plus the
+    normal-form comparison, on every center's arrival paths and their
+    mutants; on T-atoms the arrivals of the cycle refine those of the atom;
+    and c·c* = v holds for a rotation c at v exactly when every vertex of
+    its cycle has one outgoing edge."""
+    verdicts = Counter()
+    for g in list(exhaustive_corpus) + list(random_graphs[:150]):
+        report = compute_center(g)
+        halves = [m.p for atom_e in _idempotents(report) for m in atom_e.terms]
+        for case in _code_mutants(g, halves):
+            ours = _refines(g, _trie(case), {v: {} for v in g.vertices})
+            assert ours == (oracle_prefix_free(case) and oracle_code_sum_equals(g, case, unit(g))), (g.edges, case)
+            verdicts[ours] += 1
+        for atom, e in zip(report.atoms, _idempotents(report)):
+            if atom.cycle is None:
+                continue
+            arrivals = [m.q for m in conjugated_cycle_power(g, atom.cycle, 1).terms]
+            assert _refines(g, _trie(arrivals), _trie(m.p for m in e.terms)), g.edges
+            assert oracle_code_sum_equals(g, arrivals, e)
+        for cycle in cycles(g):
+            exitless = all(len(g.out_edges(v)) == 1 for v in cycle.vertices(g))
+            for i, v in enumerate(cycle.vertices(g)):
+                rotation = cycle.edges[i:] + cycle.edges[:i]
+                assert oracle_rotation_is_unit(g, v, rotation) == exitless, (g.edges, rotation)
+    assert verdicts[True] > 2000 and verdicts[False] > 8000, verdicts
+
+
+def _trie_mutants(g: Graph, report, rng: random.Random):
+    """(kind, generator list) for the corruptions of the prefix codes that
+    the certificate must refuse, and the leaf splits, which keep every sum:
+    a leaf of an idempotent dropped, split into all its children but one or
+    into all of them, a path repeated in a second idempotent, an arrival
+    dropped from a unitary and from its inverse.  A leaf of a T-atom that
+    ends on its cycle, split, leaves an e(A) that Arr(C) does not refine."""
+    gens = list(report.generators)
+    idem = [i for i, label in enumerate(report.generator_labels) if label.startswith("e(")]
+
+    def at(i, terms, *more):
+        return gens[:i] + [AlgebraElement(g, terms), *more] + gens[i + 1 + len(more) :]
+
+    for i, atom in zip(idem, report.atoms):
+        on_cycle = set(atom.cycle.vertices(g)) if atom.cycle else set()
+        terms = gens[i].terms
+        paths = sorted((m.p for m in terms), key=path_sort_key)
+        p = rng.choice(paths)
+        yield "leaf dropped", at(i, {m: c for m, c in terms.items() if m.p != p})
+        for q in paths:
+            kids = _children(g, q)
+            base = {m: c for m, c in terms.items() if m.p != q}
+            if len(kids) > 1:
+                yield "leaf split but one child", at(i, {**base, **{Monomial(k, k): 1 for k in kids[1:]}})
+            if kids:
+                kind = "leaf split on the cycle" if q.range(g) in on_cycle else "leaf split"
+                yield kind, at(i, {**base, **{Monomial(k, k): 1 for k in kids}})
+        for j in idem:
+            if j != i:
+                yield "path repeated", at(j, {**gens[j].terms, Monomial(p, p): 1})
+                break
+    for i, label in enumerate(report.generator_labels):
+        if label.endswith(")^1"):
+            terms = gens[i].terms
+            m = rng.choice(sorted(terms, key=lambda t: path_sort_key(t.q)))
+            plus = AlgebraElement(g, {k: c for k, c in terms.items() if k != m})
+            yield "arrival dropped", at(i, plus.terms, star(plus))
+
+
+def test_trie_mutations_fail_verification_like_the_oracle():
+    rng = random.Random(19)
+    verdicts = Counter()
+    for g in _mutation_graphs() + [cycle_graph(1), cycle_graph(2)]:
+        report = compute_center(g)
+        for kind, mutant in _trie_mutants(g, report, rng):
+            m_idem, m_laurent = _split(report.atoms, mutant)
+            ours = _verify(g, report.atoms, m_idem, m_laurent)
+            oracle = oracle_verify(g, report.atoms, m_idem, m_laurent)
+            if kind == "leaf split on the cycle":
+                assert oracle and not ours, g.edges
+            else:
+                assert ours == oracle, (g.edges, kind)
+            verdicts[kind, ours] += 1
+    assert set(verdicts) == {
+        ("leaf dropped", False),
+        ("leaf split but one child", False),
+        ("leaf split", True),
+        ("leaf split on the cycle", False),
+        ("path repeated", False),
+        ("arrival dropped", False),
+    }, verdicts
+
+
+def test_t_atom_arrivals_must_refine_the_atom():
+    """The loop e1 at v1 with e(A) written as e1·e1*: the sum equals v1 in
+    normal form, so the oracle accepts it, but Arr(C) = {v1} does not refine
+    {e1}, and the certificate refuses it.  compute_center's own e(A) is always
+    refined (see _verify's docstring)."""
+    g = cycle_graph(1)
+    report = compute_center(g)
+    e = AlgebraElement(g, {Monomial(Path("v1", ("e1",)), Path("v1", ("e1",))): 1})
+    arrivals = [m.q for m in report.generators[1].terms]
+    assert not _refines(g, _trie(arrivals), _trie(m.p for m in e.terms))
+    assert oracle_verify(g, report.atoms, [e], [tuple(report.generators[1:])])
+    assert not _verify(g, report.atoms, [e], [tuple(report.generators[1:])])
+
+
+def test_certificate_needs_no_normal_form(monkeypatch):
+    """Without cycles, is_central compares literally, so the whole
+    certificate runs with normal_form disabled, in the algebra and in the
+    center module.  These graphs have no T-atom; the refinement check on
+    real T-atoms is pinned by test_complete_codes_match_normal_forms."""
+
+    def refuse(a):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr("ckcenter.algebra.normal_form", refuse)
+    monkeypatch.setattr("ckcenter.center.normal_form", refuse)
+    for g in (_diamond_ladder(6), _fan()):
+        assert compute_center(g, max_vertices=64).verified
 
 
 # ---------------------------------------------------------------------------

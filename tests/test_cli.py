@@ -341,3 +341,20 @@ def test_simple_and_hereditary_on_3000_chain(run):
     assert "saturated: no" in lines
     assert "saturation of closure: {" + ",".join(sorted(f"v{i}" for i in range(n))) + "}" in lines
     assert lines[-1] == "finitary: yes"
+
+
+def test_one_parser_serves_every_call(run):
+    """An argparse error, then --json, then plain text in one process print
+    what each prints with a parser of its own."""
+    from ckcenter.cli import _build_parser
+
+    calls = [["center", "--max-vertices", "x"], ["center", "--json"], ["center"], ["center", "--bogus"]]
+    shared = [run(argv, graph_text=G4) for argv in calls]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv, graph_text=G4))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2]
+    assert "invalid int value" in shared[0][2] and shared[1][1].startswith("{")
