@@ -431,22 +431,38 @@ def center_degree_bounded(
     3. [e, x] has grade |p| - |q| + 1 on a term p q* of x, and rewriting
        keeps grades, so each grade is an independent block.
     """
-    monos = bounded_basis_monomials(g, degree)
+    monos = _bounded_candidates(g, degree, oracle_bound)
     return [
         AlgebraElement(g, {monos[j]: v for j, v in vec.items()})
-        for vec in _kernel_vectors(g, monos, oracle_bound)
+        for vec in _kernel_vectors(g, monos)
     ]
 
 
-def _kernel_vectors(g: Graph, monos: list[Monomial], oracle_bound: int) -> list[dict[int, Fraction]]:
+def _candidate_count(g: Graph, degree: int) -> int:
+    """len(bounded_basis_monomials(g, degree)) without listing: pairs of
+    paths with a common range, minus the junction redexes p1 e, q1 e with e
+    special, counted from the paths of each length into each vertex."""
+    ending = {v: [1] for v in g.vertices}  # ending[v][k]: paths of length k into v
+    for k in range(degree):
+        for v in g.vertices:
+            ending[v].append(sum(ending[e.src][k] for e in g.in_edges(v)))
+    redexes = sum(sum(ending[v][:degree]) ** 2 for v in _default_special(g))
+    return sum(sum(ks) ** 2 for ks in ending.values()) - redexes
+
+
+def _bounded_candidates(g: Graph, degree: int, oracle_bound: int) -> list[Monomial]:
+    """bounded_basis_monomials, refused past the oracle bound before any is
+    listed; a negative degree is left to its GraphError."""
+    if degree >= 0 and (count := _candidate_count(g, degree)) > oracle_bound:
+        raise SizeLimitError(f"{count} candidate monomials exceed the oracle bound {oracle_bound}")
+    return bounded_basis_monomials(g, degree)
+
+
+def _kernel_vectors(g: Graph, monos: list[Monomial]) -> list[dict[int, Fraction]]:
     """center_degree_bounded's kernel as sparse vectors over monos.  Rows
     come from the product rules: e (p q*) = (e p) q* when s(p) = r(e), and
     (p q*) e is (p e) r(e)* when q = s(e) or p t* when q = e t.  Only
     (e)(q1 e)* with e special is not a basis monomial; it is rewritten once."""
-    if len(monos) > oracle_bound:
-        raise SizeLimitError(
-            f"{len(monos)} candidate monomials exceed the oracle bound {oracle_bound}"
-        )
     gamma = _default_special(g)
     blocks: dict[int, list[int]] = {}
     for j, m in enumerate(monos):

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraElement,
+    _bounded_candidates,
     _kernel_vectors,
-    bounded_basis_monomials,
     central_idempotent,
     conjugated_cycle_power,
     cycle_rotations,
@@ -276,7 +276,7 @@ def predicted_central_elements(
         if not w:
             continue
         out.append((f"e({_set_label(w)})", central_idempotent(g, w)))
-    for _, cycle in lattice_atoms(g):
+    for cycle in lattice.cycles:
         if cycle is None:
             continue
         k = 1
@@ -306,9 +306,9 @@ def cross_check_center(
     The predicted count is itself a rank, so linear dependence among
     predictions (which does not occur for distinct atoms) would be caught.
     """
-    monos = bounded_basis_monomials(g, degree)
+    monos = _bounded_candidates(g, degree, oracle_bound)
     index = {m: j for j, m in enumerate(monos)}
-    kernel_vecs = _kernel_vectors(g, monos, oracle_bound)
+    kernel_vecs = _kernel_vectors(g, monos)
     kernel = _pivot_table(kernel_vecs)
     predicted = predicted_central_elements(g, degree, max_vertices=max_vertices)
     pred_vecs = []

@@ -94,18 +94,21 @@ def _cmd_analyze(g: Graph, args) -> int:
     lattice = finitary_annihilator_lattice(g, max_vertices=args.max_vertices)
     cyc = cycles(g)
     nec = ne_cycles(g)
-    payload = {
-        "graph": graph_to_json_dict(g),
-        "sinks": sorted(sinks(g)),
-        "cycles": [list(c.edges) for c in cyc],
-        "ne_cycles": [list(c.edges) for c in nec],
-        "simple": _simple_payload(simple),
-        "lattice": {
-            "elements": [sorted(w) for w in lattice.elements],
-            "atoms": [sorted(a) for a in lattice.atoms],
-        },
-        "center": report.to_json_dict() if args.json else None,
-    }
+    if args.json:
+        payload = {
+            "graph": graph_to_json_dict(g),
+            "sinks": sorted(sinks(g)),
+            "cycles": [list(c.edges) for c in cyc],
+            "ne_cycles": [list(c.edges) for c in nec],
+            "simple": _simple_payload(simple),
+            "lattice": {
+                "elements": [sorted(w) for w in lattice.elements],
+                "atoms": [sorted(a) for a in lattice.atoms],
+            },
+            "center": report.to_json_dict(),
+        }
+        _emit(payload, [], True)
+        return 0
     lines = [
         f"vertices: {len(g.vertices)}, edges: {len(g.edges)}",
         f"sinks: {_set_label(sinks(g))}",
@@ -115,9 +118,7 @@ def _cmd_analyze(g: Graph, args) -> int:
         "lattice elements: " + ", ".join(_set_label(w) for w in lattice.elements),
         "lattice atoms: " + ", ".join(_set_label(a) for a in lattice.atoms),
     ]
-    if not args.json:
-        lines.extend(_center_lines(report))
-    _emit(payload, lines, args.json)
+    _emit({}, lines + _center_lines(report), False)
     return 0
 
 

@@ -6,8 +6,10 @@ here (descendants, hereditary and saturated sets, cycles, exits, the
 condensation into strongly connected components, simplicity) form the
 combinatorial layer the algebraic machinery is built on.
 
-Everything in this module is a pure function of immutable values; nothing
-holds hidden state, so all of it is safe to share across threads.
+Everything in this module is a pure function of immutable values.  A Graph
+computes its adjacency tables and its condensation once, on first use, and
+caches them on the instance; they depend on nothing else, so all of it is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -122,6 +124,10 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
+
+    @cached_property
+    def _condensation(self) -> Condensation:
+        return _tarjan(self)
 
     @cached_property
     def _hash(self) -> int:
@@ -347,14 +353,23 @@ class Condensation(NamedTuple):
     of a mask stands for terminal[i].  below[v] is the mask of the terminal
     components reachable from v, and cycle_masks holds below[v] for each
     non-terminal component with a cycle (several vertices, or a loop).
+    components lists every component after every component it reaches, and
+    cyclic holds the vertices that lie on a cycle.
     """
 
     terminal: tuple[tuple[str, ...], ...]
     below: dict[str, int]
     cycle_masks: frozenset[int]
+    components: tuple[tuple[str, ...], ...]
+    cyclic: VertexSet
 
 
 def condensation(g: Graph) -> Condensation:
+    """The condensation of g, computed once per Graph instance."""
+    return g._condensation
+
+
+def _tarjan(g: Graph) -> Condensation:
     """Tarjan's strongly connected components, with an explicit stack so
     that deep graphs cannot exhaust the interpreter's recursion limit.
 
@@ -368,15 +383,20 @@ def condensation(g: Graph) -> Condensation:
     terminal: list[tuple[str, ...]] = []
     below: dict[str, int] = {}
     cycle_masks: set[int] = set()
+    components: list[tuple[str, ...]] = []
+    cyclic: set[str] = set()
 
     def close(members: list[str]) -> None:
+        components.append(tuple(members))
         inside = set(members)
+        if len(members) > 1 or any(e.dst == members[0] for e in g.out_edges(members[0])):
+            cyclic.update(members)
         leaving = [e.dst for v in members for e in g.out_edges(v) if e.dst not in inside]
         if leaving:
             mask = 0
             for w in leaving:
                 mask |= below[w]
-            if len(members) > 1 or any(e.dst == members[0] for e in g.out_edges(members[0])):
+            if members[0] in cyclic:
                 cycle_masks.add(mask)
         else:
             mask = 1 << len(terminal)
@@ -417,7 +437,9 @@ def condensation(g: Graph) -> Condensation:
                         if w == v:
                             break
                     close(members)
-    return Condensation(tuple(terminal), below, frozenset(cycle_masks))
+    return Condensation(
+        tuple(terminal), below, frozenset(cycle_masks), tuple(components), frozenset(cyclic)
+    )
 
 
 def ne_cycles(g: Graph) -> list[Cycle]:

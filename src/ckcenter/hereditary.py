@@ -13,6 +13,11 @@ the algebra's center.  The atoms and their exitless cycles are read off the
 condensation rather than found by search (lattice_atoms); the center needs
 nothing more.  Only finitary_annihilator_lattice lists the 2^atoms elements,
 each the double annihilator of a union of atoms.
+
+The listing works on vertex bitmasks.  A hereditary W is finitary iff no
+vertex of reach(W) - W lies on a cycle: such a vertex reaches W, so does its
+whole cycle, and no vertex of that cycle is in W, or the hereditary W would
+hold the vertex itself.
 """
 
 from __future__ import annotations
@@ -125,12 +130,6 @@ def double_annihilator(g: Graph, w) -> VertexSet:
     return annihilator(g, annihilator(g, w))
 
 
-def lattice_join(g: Graph, w1, w2) -> VertexSet:
-    """Join in the annihilator lattice: the annihilator of the intersection
-    of the two annihilators."""
-    return annihilator(g, annihilator(g, w1) & annihilator(g, w2))
-
-
 # ---------------------------------------------------------------------------
 # the finitary lattice
 
@@ -166,11 +165,12 @@ class FinitaryLattice:
     """Finitary double-annihilator subsets, ordered by (size, members).
 
     The empty set is the bottom and the full vertex set the top; atoms are
-    the minimal nonempty elements.
+    the minimal nonempty elements, each with cycles[i] as in lattice_atoms.
     """
 
     elements: tuple[VertexSet, ...]
     atoms: tuple[VertexSet, ...]
+    cycles: tuple[Cycle | None, ...] = ()
 
 
 def _guard(g: Graph, max_vertices: int) -> None:
@@ -182,63 +182,121 @@ def _guard(g: Graph, max_vertices: int) -> None:
         )
 
 
+def _byte_tables(values: list, empty=0) -> list[list]:
+    """For each 8 vertices, the union (|) of their values over every byte."""
+    tables = []
+    for start in range(0, len(values), 8):
+        chunk = values[start : start + 8]
+        table = [empty] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _or_over(tables: list[list], w: int, out=0):
+    for table in tables:
+        out |= table[w & 0xFF]
+        w >>= 8
+    return out
+
+
+class _Bits:
+    """Vertex subsets of g as int bitmasks, bit i for g.vertices[i].  The
+    ancestor masks come from one pass over the condensation, parents first;
+    reach(w) and the successors of w then cost one lookup per 8 vertices."""
+
+    def __init__(self, g: Graph):
+        self.bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+        self.full = (1 << len(g.vertices)) - 1
+        cond = condensation(g)
+        anc: dict[str, int] = {}
+        for comp in reversed(cond.components):
+            m = self.mask(comp)
+            for v in comp:
+                for e in g.in_edges(v):
+                    m |= anc.get(e.src, 0)
+            anc.update(dict.fromkeys(comp, m))
+        self.reach = _byte_tables([anc[v] for v in g.vertices])
+        self.succ = _byte_tables([self.mask(e.dst for e in g.out_edges(v)) for v in g.vertices])
+        self.names = _byte_tables([frozenset((v,)) for v in g.vertices], frozenset())
+        self.cyclic = self.mask(cond.cyclic)
+
+    def mask(self, w) -> int:
+        out = 0
+        for v in w:
+            out |= self.bit[v]
+        return out
+
+    def members(self, w: int) -> VertexSet:
+        return _or_over(self.names, w, frozenset())
+
+    def ann(self, w: int) -> int:
+        return self.full ^ _or_over(self.reach, w)
+
+
 def finitary_annihilator_lattice(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> FinitaryLattice:
     """List the finitary double annihilators, then verify the Boolean
     closure properties.  Each element is the join of the atoms below it:
     the double annihilator of their union, as the annihilator of a union is
     the intersection of the annihilators.  There are 2^(number of atoms)
-    elements, each checked by is_finitary and the closure checks;
-    max_vertices bounds that by 2^|V|.
+    elements, each listed and checked on vertex bitmasks in a few table
+    lookups; max_vertices bounds that by 2^|V|.
     """
     _guard(g, max_vertices)
-    atoms = [a for a, _ in lattice_atoms(g)]
-    picks = product((False, True), repeat=len(atoms))
-    joins = (set().union(*(a for a, keep in zip(atoms, pick) if keep)) for pick in picks)
-    elements = sorted((double_annihilator(g, u) for u in joins), key=set_sort_key)
-    for w in elements:
-        if w and not is_finitary(g, w):
-            raise RuntimeError(f"internal inconsistency: element {sorted(w)} is not finitary")
-    _verify_lattice(g, elements, atoms)
-    return FinitaryLattice(tuple(elements), tuple(atoms))
+    found = lattice_atoms(g)
+    bits = _Bits(g)
+    atoms = [bits.mask(a) for a, _ in found]
+    unions = [0]
+    for a in atoms:
+        unions += [u | a for u in unions]
+    elements = [bits.ann(bits.ann(u)) for u in unions]
+    _verify_lattice(bits, elements, atoms)
+    return FinitaryLattice(
+        tuple(sorted(map(bits.members, elements), key=set_sort_key)),
+        tuple(a for a, _ in found),
+        tuple(c for _, c in found),
+    )
 
 
 _PAIRWISE_VERIFY_CAP = 512
 
 
-def _verify_lattice(g: Graph, elements: list[VertexSet], atoms: list[VertexSet]) -> None:
+def _verify_lattice(bits: _Bits, elements: list[int], atoms: list[int]) -> None:
     """Assert the closure properties the rest of the computation relies on.
 
-    Per-element facts are always checked.  Meet and join closure is checked
-    over all pairs up to a size cap; past it (degenerate graphs whose lattice
-    is the whole powerset) meets are checked against the atoms and joins over
-    atom pairs, keeping the cost linear in the lattice.
+    Each element must be hereditary, annihilator-closed and finitary (see
+    the module docstring), with its complement, the annihilator, present.
+    Meet and join closure is checked over all pairs up to a size cap; past
+    it (degenerate graphs whose lattice is the whole powerset) meets are
+    checked against the atoms and joins over atom pairs, keeping the cost
+    linear in the lattice.
     """
     present = set(elements)
-    exhaustive = len(elements) <= _PAIRWISE_VERIFY_CAP
-    joined = elements if exhaustive else atoms
-    keep = set(joined)
-    ann = {}
-    for w in elements:
-        a = annihilator(g, w)
-        if annihilator(g, a) != w:
-            raise RuntimeError(f"internal inconsistency: {sorted(w)} is not annihilator-closed")
-        if not is_hereditary(g, w):
-            raise RuntimeError(f"internal inconsistency: {sorted(w)} is not hereditary")
-        if a not in present:
-            raise RuntimeError(f"internal inconsistency: complement of {sorted(w)} missing")
-        if w in keep:
-            ann[w] = a
-    for w1, w2 in product(elements, joined):
-        if w1 & w2 not in present:
-            raise RuntimeError(
-                f"internal inconsistency: meet of {sorted(w1)} and {sorted(w2)} missing"
-            )
-    for w1, w2 in product(joined, repeat=2):
-        # lattice_join's formula; an atom met with the top is an element, so in ann
-        if annihilator(g, ann[w1] & ann[w2]) not in present:
-            raise RuntimeError(
-                f"internal inconsistency: join of {sorted(w1)} and {sorted(w2)} missing"
-            )
+    joined = elements if len(elements) <= _PAIRWISE_VERIFY_CAP else atoms
+    ann = {w: bits.ann(w) for w in elements}
+    for w, a in ann.items():
+        fault = (
+            "is not hereditary" if _or_over(bits.succ, w) & ~w
+            else "is not annihilator-closed" if bits.ann(a) != w
+            else "is not finitary" if (bits.full ^ a) & ~w & bits.cyclic
+            else "has no complement" if a not in present
+            else None
+        )
+        if fault:
+            raise RuntimeError(f"internal inconsistency: {sorted(bits.members(w))} {fault}")
+    for x, y in product(elements, joined):
+        if x & y not in present:
+            raise _missing(bits, "meet", x, y)
+    for x, y in product(joined, repeat=2):
+        # an atom met with the top is an element, so in ann
+        if bits.ann(ann[x] & ann[y]) not in present:
+            raise _missing(bits, "join", x, y)
+
+
+def _missing(bits: _Bits, kind: str, x: int, y: int) -> RuntimeError:
+    x, y = sorted(bits.members(x)), sorted(bits.members(y))
+    return RuntimeError(f"internal inconsistency: {kind} of {x} and {y} missing")
 
 
 def _verify_atoms(g: Graph, atoms) -> bool:

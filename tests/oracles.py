@@ -6,7 +6,9 @@ paths by brute-force walk enumeration or by per-length walk counting, the
 finitary lattice by a sweep over all 2^|V| vertex subsets.  None of it
 shares code with the package under test, except that the exitless-cycle
 scan filters the package's all-cycles search, which shares nothing with the
-condensation it is compared against.
+condensation it is compared against.  Beside the sweep sit the set-based
+lattice listing and its closure checks, which the bitmask listing replaced;
+they share the package's atoms and its set-valued annihilators.
 
 The algebra oracles at the end decide centrality and the center's relations
 by full products and commutators in normal form, the search that the
@@ -44,7 +46,17 @@ from ckcenter import (
     zero,
 )
 from ckcenter.algebra import AlgebraElement, Monomial
-from ckcenter.graphs import GraphError, Path
+from ckcenter.graphs import GraphError, Path, VertexSet, is_hereditary, set_sort_key
+from ckcenter.hereditary import (
+    _PAIRWISE_VERIFY_CAP,
+    DEFAULT_MAX_VERTICES,
+    FinitaryLattice,
+    _guard,
+    annihilator,
+    double_annihilator,
+    is_finitary,
+    lattice_atoms,
+)
 from ckcenter.linalg import nullspace
 
 
@@ -201,6 +213,61 @@ def oracle_lattice(g: Graph) -> tuple[list[frozenset[str]], list[frozenset[str]]
     )
     atoms = [w for w in elements if w and not any(x and x < w for x in elements)]
     return elements, atoms
+
+
+def oracle_finitary_annihilator_lattice(
+    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> FinitaryLattice:
+    """The set-based listing: each element the double annihilator of a union
+    of atoms, checked by is_finitary, then by oracle_verify_lattice."""
+    _guard(g, max_vertices)
+    atoms = [a for a, _ in lattice_atoms(g)]
+    picks = product((False, True), repeat=len(atoms))
+    joins = (set().union(*(a for a, keep in zip(atoms, pick) if keep)) for pick in picks)
+    elements = sorted((double_annihilator(g, u) for u in joins), key=set_sort_key)
+    for w in elements:
+        if w and not is_finitary(g, w):
+            raise RuntimeError(f"internal inconsistency: element {sorted(w)} is not finitary")
+    oracle_verify_lattice(g, elements, atoms)
+    return FinitaryLattice(tuple(elements), tuple(atoms))
+
+
+def lattice_join(g: Graph, w1, w2) -> VertexSet:
+    """Join in the annihilator lattice: the annihilator of the intersection
+    of the two annihilators."""
+    return annihilator(g, annihilator(g, w1) & annihilator(g, w2))
+
+
+def oracle_verify_lattice(g: Graph, elements: list[VertexSet], atoms: list[VertexSet]) -> None:
+    """The set-based closure checks: each element annihilator-closed and
+    hereditary with its complement present, and meets and joins present over
+    all pairs up to _PAIRWISE_VERIFY_CAP elements, against the atoms past it."""
+    present = set(elements)
+    exhaustive = len(elements) <= _PAIRWISE_VERIFY_CAP
+    joined = elements if exhaustive else atoms
+    keep = set(joined)
+    ann = {}
+    for w in elements:
+        a = annihilator(g, w)
+        if annihilator(g, a) != w:
+            raise RuntimeError(f"internal inconsistency: {sorted(w)} is not annihilator-closed")
+        if not is_hereditary(g, w):
+            raise RuntimeError(f"internal inconsistency: {sorted(w)} is not hereditary")
+        if a not in present:
+            raise RuntimeError(f"internal inconsistency: complement of {sorted(w)} missing")
+        if w in keep:
+            ann[w] = a
+    for w1, w2 in product(elements, joined):
+        if w1 & w2 not in present:
+            raise RuntimeError(
+                f"internal inconsistency: meet of {sorted(w1)} and {sorted(w2)} missing"
+            )
+    for w1, w2 in product(joined, repeat=2):
+        # lattice_join's formula; an atom met with the top is an element, so in ann
+        if annihilator(g, ann[w1] & ann[w2]) not in present:
+            raise RuntimeError(
+                f"internal inconsistency: join of {sorted(w1)} and {sorted(w2)} missing"
+            )
 
 
 def oracle_ne_cycles(g: Graph) -> list[Cycle]:

@@ -28,7 +28,6 @@ from ckcenter import (
     is_central,
     is_finitary,
     is_hereditary,
-    lattice_join,
     multiply,
     ne_cycles,
     normal_form,
@@ -44,6 +43,7 @@ from oracles import (
     all_subsets,
     cycle_rotation_sum,
     from_monomial,
+    lattice_join,
     oracle_hereditary_sets,
     oracle_is_finitary,
 )

@@ -64,3 +64,37 @@ def test_kernel_needs_no_products(c3, monkeypatch):
     for name in ("commutator", "multiply", "normal_form"):
         monkeypatch.setattr(ckcenter.algebra, name, refuse)
     assert len(center_degree_bounded(c3, 3)) == 3
+
+
+def test_candidate_count_matches_the_listing(exhaustive_corpus):
+    from ckcenter.algebra import _candidate_count, bounded_basis_monomials
+
+    for g in exhaustive_corpus:
+        for degree in (1, 2, 3):
+            assert _candidate_count(g, degree) == len(bounded_basis_monomials(g, degree)), g.edges
+
+
+def test_oracle_bound_refuses_before_listing(monkeypatch, capsys):
+    # 1,430,627 candidates at degree 12: the guard must count them, not list them
+    import io
+    import json
+
+    from ckcenter.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the candidates were listed before the bound was checked")
+
+    monkeypatch.setattr(ckcenter.algebra, "bounded_basis_monomials", refuse)
+    edges = [("x1", "u1", "u1"), ("x2", "u1", "u2"), ("x3", "u2", "u1"), ("x4", "u2", "u3"),
+             ("x5", "u3", "u3")]
+    doc = {"vertices": ["u1", "u2", "u3"],
+           "edges": [{"id": i, "src": s, "dst": d} for i, s, d in edges]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["cross-check", "-", "--degree", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "1430627 candidate monomials exceed the oracle bound 150"
+    assert captured.err == f"error: {message}\n"
+    g = ckcenter.Graph(doc["vertices"], edges)
+    with pytest.raises(SizeLimitError, match=message):
+        center_degree_bounded(g, 12)

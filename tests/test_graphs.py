@@ -415,3 +415,26 @@ def test_cycle_masks_hold_only_non_terminal_cycles(g2, g4):
     assert condensation(g4).cycle_masks == frozenset()
     cond = condensation(g2)
     assert cond.cycle_masks == frozenset({cond.below["v2"]})
+
+
+def test_one_tarjan_pass_per_graph(monkeypatch, tmp_path, capsys):
+    # analyze asks for the condensation from several layers; the graph
+    # computes it once, and equal graphs do not share it
+    import ckcenter.graphs
+    from ckcenter.cli import main
+
+    passes = []
+    real = ckcenter.graphs._tarjan
+    monkeypatch.setattr(ckcenter.graphs, "_tarjan", lambda g: passes.append(g) or real(g))
+    fan = Graph([f"u{i}" for i in range(13)], [(f"x{i}", "u0", f"u{i}") for i in range(1, 13)])
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(graph_to_json_dict(fan)), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 0
+    assert "center: C^12 x T^0" in capsys.readouterr().out
+    assert len(passes) == 1
+    twin = Graph(fan.vertices, fan.edges)
+    assert twin == fan and hash(twin) == hash(fan)
+    assert condensation(fan) is condensation(fan)
+    assert condensation(twin) is not condensation(fan)
+    assert condensation(twin) == condensation(fan)
+    assert len(passes) == 3

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -15,20 +16,25 @@ from ckcenter import (
     is_finitary,
     is_hereditary,
     is_simple_graph,
-    lattice_join,
+    lattice_atoms,
     ne_cycles,
 )
+from ckcenter.hereditary import _PAIRWISE_VERIFY_CAP, _Bits, _verify_lattice
 
 from oracles import (
     all_subsets,
     brute_arrival_paths,
+    lattice_join,
     oracle_annihilator,
     oracle_classify_atom,
+    oracle_finitary_annihilator_lattice,
     oracle_hereditary_sets,
     oracle_is_finitary,
+    oracle_is_hereditary,
     oracle_lattice,
     oracle_ne_cycles,
     oracle_simplicity,
+    oracle_verify_lattice,
     reach_pairs,
 )
 
@@ -366,3 +372,104 @@ def test_condensation_matches_naive_sweeps(corpus, request):
             assert classify_atom(g, a) == (matches[0] if matches else None), g.edges
         assert ne_cycles(g) == oracle_ne_cycles(g), g.edges
         assert is_simple_graph(g) == oracle_simplicity(g), g.edges
+
+
+# ---------------------------------------------------------------------------
+# the bitmask listing against the set-based one it replaced
+
+def _fan(n: int) -> Graph:
+    return Graph([f"u{i}" for i in range(n)], [(f"x{i}", "u0", f"u{i}") for i in range(1, n)])
+
+
+def _past_the_cap() -> list[Graph]:
+    """Lattices of more than _PAIRWISE_VERIFY_CAP elements: nine isolated
+    vertices beside a loop at a above the sinks b and c, where {b} is
+    hereditary and closed but not finitary, and ten isolated vertices."""
+    isolated = [f"i{k}" for k in range(9)]
+    gadget = Graph(isolated + ["a", "b", "c"], [("l", "a", "a"), ("f", "a", "b"), ("h", "a", "c")])
+    return [gadget, Graph([f"u{k}" for k in range(10)], [])]
+
+
+@pytest.mark.parametrize(
+    "corpus", ["exhaustive_corpus", "random_graphs", "wide_random_graphs", "past_the_cap"]
+)
+def test_bitmask_lattice_matches_set_listing(corpus, request):
+    if corpus == "past_the_cap":
+        graphs = [_fan(16)] + _past_the_cap()
+    else:
+        graphs = request.getfixturevalue(corpus)
+    for g in graphs:
+        lat = finitary_annihilator_lattice(g)
+        slow = oracle_finitary_annihilator_lattice(g)
+        assert lat.elements == slow.elements, g.edges
+        assert lat.atoms == slow.atoms, g.edges
+        assert lat.cycles == tuple(c for _, c in lattice_atoms(g)), g.edges
+    if corpus == "past_the_cap":
+        assert len(lat.elements) > _PAIRWISE_VERIFY_CAP
+
+
+def _outsiders(g: Graph, elements) -> dict[str, frozenset]:
+    """The first vertex set outside the lattice of each kind a listing must
+    refuse, by the oracles; small sets only on larger graphs."""
+    pairs = reach_pairs(g)
+    wanted = {}
+    subsets = all_subsets(g.vertices) if len(g.vertices) <= 6 else (
+        frozenset(s) for k in (1, 2) for s in combinations(g.vertices, k)
+    )
+    for s in subsets:
+        s = frozenset(s)
+        if s in elements:
+            continue
+        if not oracle_is_hereditary(g, s, pairs):
+            kind = "not hereditary"
+        elif oracle_annihilator(g, oracle_annihilator(g, s)) != s:
+            kind = "not annihilator-closed"
+        elif s and not oracle_is_finitary(g, s):
+            kind = "not finitary"
+        else:
+            continue
+        wanted.setdefault(kind, s)
+    return wanted
+
+
+def _mutants(g: Graph, elements: list, at: int):
+    """(fault, listing) pairs: an element dropped or duplicated, or replaced
+    by a set of each refused kind, put first so that it is checked first."""
+    rest = elements[:at] + elements[at + 1 :]
+    yield "dropped", rest
+    yield "duplicate", elements + [elements[at]]
+    for kind, s in _outsiders(g, set(elements)).items():
+        yield kind, [s] + rest
+
+
+def _refusal(check) -> str | None:
+    try:
+        check()
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive_corpus", "random_graphs", "past_the_cap"])
+def test_lattice_mutants_refused_like_the_set_verifier(corpus, request):
+    graphs = _past_the_cap() if corpus == "past_the_cap" else request.getfixturevalue(corpus)
+    kinds = set()
+    for n, g in enumerate(graphs):
+        lat = finitary_annihilator_lattice(g)
+        elements, atoms = list(lat.elements), list(lat.atoms)
+        bits = _Bits(g)
+        for fault, listing in _mutants(g, elements, n % len(elements)):
+            old = _refusal(lambda: oracle_verify_lattice(g, listing, atoms))
+            new = _refusal(
+                lambda: _verify_lattice(bits, [bits.mask(w) for w in listing], [bits.mask(a) for a in atoms])
+            )
+            assert (old is None) == (new is None), (g.edges, fault, old, new)
+            if fault == "duplicate":
+                assert new is None
+            elif fault == "dropped":
+                # the dropped element's complement is still listed
+                assert new.endswith("has no complement"), (g.edges, new)
+            else:
+                assert new.endswith(fault), (g.edges, fault, new)
+            kinds.add(fault)
+    assert kinds == {"dropped", "duplicate", "not hereditary", "not annihilator-closed", "not finitary"}
