@@ -458,18 +458,20 @@ def _bounded_candidates(g: Graph, degree: int, oracle_bound: int) -> list[Monomi
     return bounded_basis_monomials(g, degree)
 
 
-def _kernel_vectors(g: Graph, monos: list[Monomial]) -> list[dict[int, Fraction]]:
-    """center_degree_bounded's kernel as sparse vectors over monos.  Rows
-    come from the product rules: e (p q*) = (e p) q* when s(p) = r(e), and
-    (p q*) e is (p e) r(e)* when q = s(e) or p t* when q = e t.  Only
-    (e)(q1 e)* with e special is not a basis monomial; it is rewritten once."""
+def _edge_blocks(g: Graph, monos: list[Monomial]) -> list[tuple[list[int], list[dict[int, int]]]]:
+    """The kernel's integer edge rows, one block (cols, rows) per grade over
+    the candidates with s(p) = s(q); row entries are keyed by position in
+    cols.  Rows come from the product rules: e (p q*) = (e p) q* when
+    s(p) = r(e), and (p q*) e is (p e) r(e)* when q = s(e) or p t* when
+    q = e t.  Only (e)(q1 e)* with e special is not a basis monomial; it is
+    rewritten once."""
     gamma = _default_special(g)
-    blocks: dict[int, list[int]] = {}
+    grades: dict[int, list[int]] = {}
     for j, m in enumerate(monos):
         if m.p.source == m.q.source:
-            blocks.setdefault(len(m.p) - len(m.q), []).append(j)
-    basis = []
-    for cols in blocks.values():
+            grades.setdefault(len(m.p) - len(m.q), []).append(j)
+    blocks = []
+    for cols in grades.values():
         rows: dict[tuple, dict[int, int]] = {}
         for k, j in enumerate(cols):
             p, q = monos[j].p, monos[j].q
@@ -490,7 +492,16 @@ def _kernel_vectors(g: Graph, monos: list[Monomial]) -> list[dict[int, Fraction]
                 for key, c in out:
                     row = rows.setdefault((e.id, key), {})
                     row[k] = row.get(k, 0) + c
-        for vec in nullspace(rows.values(), len(cols)):
+        blocks.append((cols, list(rows.values())))
+    return blocks
+
+
+def _kernel_vectors(g: Graph, monos: list[Monomial]) -> list[dict[int, Fraction]]:
+    """center_degree_bounded's kernel as sparse vectors over monos: the exact
+    nullspace of each block of _edge_blocks."""
+    basis = []
+    for cols, rows in _edge_blocks(g, monos):
+        for vec in nullspace(rows, len(cols)):
             basis.append({cols[k]: v for k, v in enumerate(vec) if v})
     # each vector's free column is its last, as pivots lead their rows
     return sorted(basis, key=max)

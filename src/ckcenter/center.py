@@ -9,9 +9,11 @@ explicit generating elements and certifies their relations exactly, in time
 linear in their size.
 
 cross_check_center confirms the structural answer against an independent
-brute-force slice: the exact solution space of "commutes with every
-generator" within a degree bound, computed by linear algebra over the
-rationals with no structural input.
+brute-force slice: the solution space of "commutes with every generator"
+within a degree bound, built from integer edge rows with no structural
+input.  Its dimensions are exact: integer membership checks and ranks over
+F_p certify them, and ranks over the rationals stand in only when that
+certificate does not close.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     AlgebraElement,
     _bounded_candidates,
-    _kernel_vectors,
+    _edge_blocks,
     central_idempotent,
     conjugated_cycle_power,
     cycle_rotations,
@@ -38,7 +40,7 @@ from .hereditary import (
     finitary_annihilator_lattice,
     lattice_atoms,
 )
-from .linalg import _eliminate, _pivot_table, rank
+from .linalg import rank, rank_mod_p
 
 
 @dataclass(frozen=True)
@@ -293,6 +295,45 @@ def predicted_central_elements(
     ]
 
 
+def _kernel_dims(blocks, pred_vecs) -> tuple[bool, int, int]:
+    """(predicted_in_kernel, kernel_dim, predicted_dim), exactly, with no
+    rational elimination when ranks over F_p certify them.
+
+    Let A be the blocks' edge rows over their n diagonal columns and P the
+    predicted vectors.  A vector lies in the kernel iff its support is
+    diagonal and every row annihilates it, an exact check that indexes the
+    rows by the predictions' columns, so each vector meets only the rows its
+    columns enter.  Over integer matrices rank_p <= rank_Q, since a minor
+    that is nonzero mod p is a nonzero integer.  So when every prediction
+    lies in the kernel,
+        rank_p(P) <= rank_Q(P) <= dim ker_Q(A) <= n - rank_p(A),
+    the middle step as P spans a subspace of the kernel.  If the ends meet,
+    all four are equal, and both dimensions are rank_p(P).  Otherwise (a
+    prediction outside the kernel, unequal ranks or a non-int coefficient)
+    both ranks are taken over Q.
+    """
+    wanted = {j for vec in pred_vecs for j in vec}
+    images: dict[int, dict[tuple[int, int], int]] = {}
+    for b, (cols, rows) in enumerate(blocks):
+        for i, row in enumerate(rows):
+            for k, a in row.items():
+                if cols[k] in wanted:
+                    images.setdefault(cols[k], {})[b, i] = a
+    diagonal = {j for cols, _ in blocks for j in cols}
+    in_kernel = wanted <= diagonal
+    for vec in pred_vecs:
+        dots: dict[tuple[int, int], int] = {}
+        for j, c in vec.items():
+            for i, a in images.get(j, {}).items():
+                dots[i] = dots.get(i, 0) + a * c
+        in_kernel = in_kernel and not any(dots.values())
+    if in_kernel and all(type(c) is int for vec in pred_vecs for c in vec.values()):
+        r_p = rank_mod_p(pred_vecs)
+        if r_p == len(diagonal) - sum(rank_mod_p(rows) for _, rows in blocks):
+            return True, r_p, r_p
+    return in_kernel, len(diagonal) - sum(rank(rows) for _, rows in blocks), rank(pred_vecs)
+
+
 def cross_check_center(
     g: Graph,
     degree: int,
@@ -305,11 +346,11 @@ def cross_check_center(
     kernel dimension equals the number of independent predicted elements.
     The predicted count is itself a rank, so linear dependence among
     predictions (which does not occur for distinct atoms) would be caught.
+    The dimensions come from integer edge rows (_kernel_dims): ranks over
+    F_p when they certify agreement, exact rational ranks otherwise.
     """
     monos = _bounded_candidates(g, degree, oracle_bound)
     index = {m: j for j, m in enumerate(monos)}
-    kernel_vecs = _kernel_vectors(g, monos)
-    kernel = _pivot_table(kernel_vecs)
     predicted = predicted_central_elements(g, degree, max_vertices=max_vertices)
     pred_vecs = []
     labels = []
@@ -319,14 +360,13 @@ def cross_check_center(
             raise RuntimeError("internal inconsistency: predicted element escaped filter")
         pred_vecs.append(vec)
         labels.append(label)
-    in_kernel = all(not _eliminate(vec, kernel) for vec in pred_vecs)
-    predicted_dim = rank(pred_vecs)
+    in_kernel, kernel_dim, predicted_dim = _kernel_dims(_edge_blocks(g, monos), pred_vecs)
     return CenterCrossCheck(
         degree=degree,
         candidate_count=len(monos),
-        kernel_dim=len(kernel_vecs),
+        kernel_dim=kernel_dim,
         predicted_dim=predicted_dim,
         predicted_in_kernel=in_kernel,
-        dims_match=predicted_dim == len(kernel_vecs),
+        dims_match=predicted_dim == kernel_dim,
         predicted_labels=tuple(labels),
     )

@@ -32,7 +32,6 @@ from .graphs import (
     Path,
     SizeLimitError,
     cycles,
-    exits,
     graph_to_json_dict,
     hereditary_closure,
     is_hereditary,
@@ -41,7 +40,6 @@ from .graphs import (
     ne_cycles,
     parse_graph,
     saturation,
-    set_sort_key,
     sinks,
 )
 from .hereditary import (

@@ -312,15 +312,18 @@ def cycles(g: Graph) -> list[Cycle]:
     """All cycles in canonical rotation, sorted by their edge id tuples.
 
     Each cycle is found once, by a DFS from its smallest vertex that never
-    walks below it, on its own stack so that deep graphs cannot hit the
-    recursion limit."""
+    walks below it or out of its strongly connected component, which holds
+    every cycle through it, on its own stack so that deep graphs cannot hit
+    the recursion limit."""
     pos = {v: i for i, v in enumerate(sorted(g.vertices))}
+    comp = {v: i for i, members in enumerate(condensation(g).components) for v in members}
+    inner = {v: [e for e in g.out_edges(v) if comp[e.dst] == comp[v]] for v in g.vertices}
     found: list[Cycle] = []
     for anchor in sorted(g.vertices):
         apos = pos[anchor]
         trail: list[str] = []
         on_trail = {anchor}
-        work = [(anchor, iter(g.out_edges(anchor)))]
+        work = [(anchor, iter(inner[anchor]))]
         while work:
             v, pending = work[-1]
             for e in pending:
@@ -329,7 +332,7 @@ def cycles(g: Graph) -> list[Cycle]:
                 elif e.dst not in on_trail and pos[e.dst] > apos:
                     on_trail.add(e.dst)
                     trail.append(e.id)
-                    work.append((e.dst, iter(g.out_edges(e.dst))))
+                    work.append((e.dst, iter(inner[e.dst])))
                     break
             else:
                 work.pop()

@@ -1,9 +1,10 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, and ranks over F_p.
 
 Rows are dicts mapping column index to a nonzero Fraction.  The pivot table
 built by repeated insertion is a reduced row echelon form, which is unique
 for a given row space, so nullspace bases and span tests come out the same
-no matter what order rows arrive in.
+no matter what order rows arrive in.  rank_mod_p reduces integer rows
+modulo the prime 2^61 - 1 instead, a lower bound for their rank over Q.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Iterable, Sequence
 Row = dict[int, Fraction]
 
 _ONE = Fraction(1)
+_P = (1 << 61) - 1
 
 
 def _as_row(entries) -> Row:
@@ -96,3 +98,26 @@ def rank(vectors: Iterable[Sequence[Fraction] | Row]) -> int:
 
 def in_span(vectors: Iterable[Sequence[Fraction] | Row], target: Sequence[Fraction] | Row) -> bool:
     return not _eliminate(_as_row(target), _pivot_table(vectors))
+
+
+def rank_mod_p(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over F_p, p = 2^61 - 1, of rows of ints.  It never exceeds the
+    rank over Q, as a minor that is nonzero mod p is a nonzero integer."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v % _P for c, v in row.items() if v % _P}
+        while r:
+            c = min(r)
+            pr = pivots.get(c)
+            if pr is None:
+                inv = pow(r[c], -1, _P)
+                pivots[c] = {cc: vv * inv % _P for cc, vv in r.items()}
+                break
+            f = r[c]
+            for cc, vv in pr.items():
+                nv = (r.get(cc, 0) - f * vv) % _P
+                if nv:
+                    r[cc] = nv
+                else:
+                    r.pop(cc, None)
+    return len(pivots)

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from ckcenter import (
+    CenterCrossCheck,
     Cycle,
     Graph,
     SimplicityReport,
@@ -41,6 +42,7 @@ from ckcenter import (
     generators,
     make_monomial,
     multiply,
+    normal_form,
     star,
     unit,
     zero,
@@ -57,7 +59,7 @@ from ckcenter.hereditary import (
     is_finitary,
     lattice_atoms,
 )
-from ckcenter.linalg import nullspace
+from ckcenter.linalg import in_span, nullspace, rank
 
 
 def reach_pairs(g: Graph) -> set[tuple[str, str]]:
@@ -429,6 +431,26 @@ def oracle_center_degree_bounded(g: Graph, degree: int, oracle_bound: int = 150)
         AlgebraElement(g, {monos[j]: v for j, v in enumerate(vec) if v})
         for vec in nullspace(rows.values(), len(monos))
     ]
+
+
+def oracle_cross_check(g: Graph, degree: int, predicted, kernel) -> CenterCrossCheck:
+    """cross_check_center's fields for these (label, element) predictions,
+    given the exact reduced echelon kernel from center_degree_bounded: span
+    membership of each prediction's normal form, and their rational rank."""
+    monos = bounded_basis_monomials(g, degree)
+    index = {m: j for j, m in enumerate(monos)}
+    kernel = [{index[m]: c for m, c in el.terms.items()} for el in kernel]
+    vecs = [{index[m]: c for m, c in normal_form(el).terms.items()} for _, el in predicted]
+    predicted_dim = rank(vecs)
+    return CenterCrossCheck(
+        degree=degree,
+        candidate_count=len(monos),
+        kernel_dim=len(kernel),
+        predicted_dim=predicted_dim,
+        predicted_in_kernel=all(in_span(kernel, vec) for vec in vecs),
+        dims_match=predicted_dim == len(kernel),
+        predicted_labels=tuple(label for label, _ in predicted),
+    )
 
 
 # ---------------------------------------------------------------------------

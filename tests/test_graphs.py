@@ -438,3 +438,21 @@ def test_one_tarjan_pass_per_graph(monkeypatch, tmp_path, capsys):
     assert condensation(twin) is not condensation(fan)
     assert condensation(twin) == condensation(fan)
     assert len(passes) == 3
+
+
+def test_cycles_on_a_long_chain_is_linear(monkeypatch):
+    # each anchor's search stays in its own strongly connected component, so
+    # a chain costs a few out-edge lookups per vertex (the condensation's
+    # passes and one for the search), not one per vertex above each anchor
+    n = 3000
+    g = Graph([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    lookups = []
+    out_edges = Graph.out_edges
+
+    def counted(self, v):
+        lookups.append(v)
+        return out_edges(self, v)
+
+    monkeypatch.setattr(Graph, "out_edges", counted)
+    assert cycles(g) == []
+    assert len(lookups) <= 10 * n

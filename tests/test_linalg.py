@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from ckcenter.linalg import in_span, nullspace, rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckcenter.linalg import in_span, nullspace, rank, rank_mod_p
 
 F = Fraction
 
@@ -118,3 +121,20 @@ def test_rank_nullity():
             for _ in range(rng.randint(0, 5))
         ]
         assert rank(rows) + len(nullspace(rows, ncols)) == ncols
+
+
+# Entries in [-9, 9] and at most 7 x 7: by Hadamard's bound every minor is
+# below (9 * sqrt(7))^7 < 5e9 < 2^61 - 1 in absolute value, so a minor that
+# is nonzero over Q stays nonzero mod p and the two ranks must agree.
+_small_matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols), max_size=7
+    )
+)
+
+
+@settings(max_examples=300, database=None, derandomize=True)
+@given(_small_matrices)
+def test_rank_mod_p_equals_rational_rank(matrix):
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    assert rank_mod_p(rows) == rank([[F(v) for v in row] for row in matrix])

@@ -1,6 +1,8 @@
 """The package's exports and the README's list of public building blocks
-must name things that exist."""
+must name things that exist, and the modules import nothing they leave
+unused."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -23,3 +25,22 @@ def test_readme_building_blocks_are_importable():
     assert len(names) > 10
     missing = [name for name in names if not hasattr(ckcenter, name)]
     assert missing == []
+
+
+def test_modules_import_only_names_they_use():
+    # __init__.py imports names to re-export them, so it is left out
+    unused = {}
+    for path in sorted((Path(ckcenter.__file__).parent).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
