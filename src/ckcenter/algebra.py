@@ -319,7 +319,9 @@ def is_central(a: AlgebraElement) -> tuple[bool, str | None]:
     def element(keyed: dict[tuple, Rational]) -> AlgebraElement:
         return AlgebraElement(g, {Monomial(Path(*k[:2]), Path(*k[2:])): c for k, c in keyed.items()})
 
-    for e in g.edges:
+    # an edge with neither end among the corner keys has two empty sides
+    near = {e.id: e for u in corner for e in g.out_edges(u) + g.in_edges(u)}
+    for e in map(near.__getitem__, sorted(near, key=g._position.__getitem__)):
         # z_{s(e)} e: a term p s(e)* becomes (p e) r(e)*, a term p (e t)* becomes p t*
         left: dict[tuple, Rational] = {}
         for p, q, c in corner.get(e.src, ()):
@@ -514,7 +516,8 @@ def format_monomial(m: Monomial) -> str:
     if not m.p.edges and not m.q.edges:
         return m.p.source
     left = "*".join(m.p.edges) if m.p.edges else m.p.source
-    right = "*".join(e + "^*" for e in m.q.edges) if m.q.edges else m.q.source
+    # ids hold no "*", so one join stars every edge but the last
+    right = "^**".join(m.q.edges) + "^*" if m.q.edges else m.q.source
     return left + MIDDLE_DOT + right
 
 

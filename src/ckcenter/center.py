@@ -99,17 +99,23 @@ def _cycle_label(cycle: Cycle) -> str:
     return "·".join(cycle.edges)
 
 
-def _trie(paths) -> dict:
-    """The paths' trie, nested dicts keyed by source then edge, or {} if one
-    path begins or repeats another, so ends at an inner node or a shared leaf."""
-    root: dict = {}
-    ends = []
-    for p in paths:
+def _labelled_trie(codes) -> tuple[dict, dict[int, object]]:
+    """The trie of (label, path) pairs, nested dicts keyed by source then
+    edge, and each leaf's label by the leaf's id; ({}, {}) if one path
+    begins or repeats another, so ends at an inner node or a shared leaf."""
+    root, owner, ends = {}, {}, []
+    for label, p in codes:
         node = root.setdefault(p.source, {})
         for e in p.edges:
             node = node.setdefault(e, {})
+        owner[id(node)] = label
         ends.append(node)
-    return {} if any(ends) or len(set(map(id, ends))) < len(ends) else root
+    return ({}, {}) if any(ends) or len(owner) < len(ends) else (root, owner)
+
+
+def _trie(paths) -> dict:
+    """The paths' trie, or {} if one path begins or repeats another."""
+    return _labelled_trie((None, p) for p in paths)[0]
 
 
 def _refines(g: Graph, ptrie: dict, qtrie: dict) -> bool:
@@ -124,11 +130,38 @@ def _refines(g: Graph, ptrie: dict, qtrie: dict) -> bool:
     while stack:
         at, pnode, qnode = stack.pop()
         if pnode or qnode:
-            edges = {e.id: e.dst for e in g.out_edges(at)}
+            edges = g._targets[at]
             if pnode.keys() != (qnode or edges).keys():
                 return False
             stack.extend((edges[k], pnode[k], qnode.get(k, {})) for k in pnode)
     return True
+
+
+def _kind_rule(g: Graph, trie: dict, owner: dict) -> bool | None:
+    """None unless the labelled trie is a complete code (_refines against
+    the vertices); else the kind rule: each node at a vertex w has w's kind,
+    its root's label or None if that root is inner, and each edge out of a
+    leaf root enters a root with its label.  Then each node equals its
+    vertex's root, as two complete tries at w whose nodes have their
+    vertices' kinds are equal, by induction on their heights.  So for every
+    edge e and label A, the A-leaves through e below s(e)'s root match those
+    below r(e)'s (if s(e)'s root is a leaf, so is r(e)'s, with its label):
+    is_central's literal corner test of Σ_{p labelled A} p·p*."""
+    if trie.keys() != g._targets.keys():
+        return None
+    kind = {v: owner.get(id(node)) for v, node in trie.items()}
+    uniform = all(kind[e.dst] == a for e in g.edges if (a := kind[e.src]) is not None)
+    stack = [(v, node) for v, node in trie.items() if node]
+    while stack:
+        at, node = stack.pop()
+        edges = g._targets[at]
+        if node.keys() != edges.keys():
+            return None
+        for k, child in node.items():
+            uniform = uniform and kind[edges[k]] == owner.get(id(child))
+            if child:
+                stack.append((edges[k], child))
+    return uniform
 
 
 def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
@@ -136,20 +169,25 @@ def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
     their size.  Each e(A) must be a sum of p p* with coefficient 1, the p
     over all atoms a prefix code (arrival paths of disjoint hereditary sets
     are), so e(A)^2 = e(A), e(A) e(B) = 0 and e(A)* = e(A) hold term by
-    term, and complete, so the e(A) sum to 1.  A T-atom's plus must be the
-    sum of (p c_v) p* over a prefix code P, c_v the cycle's rotation at v =
-    r(p), and minus its star; with one edge out of each cycle vertex, plus
-    minus = minus plus = sum of p p* over P, which must refine e(A), and
-    then e(A) z = z e(A) = z.  compute_center's Arr(C) always refines
-    Arr(A): each p enters A first at one q in Arr(A), then stays in A, the
-    double annihilator of C, whose vertices all reach C (a vertex that
-    misses C has its closure in C's annihilator) and which, finitary, has
-    no other cycle; so the suffixes below q form a complete code at r(q)."""
-    terms = [(m, c) for e in idempotents for m, c in e.terms.items()]
-    if any(m.p != m.q or c != 1 for m, c in terms):
+    term, and complete, so the e(A) sum to 1.  Labelled by atom, that trie
+    proves every e(A) central when it meets _kind_rule, as compute_center's
+    always does: an inner node lies outside every atom, as it reaches A and
+    atoms are disjoint and hereditary, and edges out of A stay in A.  Else
+    (a leaf split into all its children keeps every sum) is_central decides.
+    A T-atom's plus must be the sum of (p c_v) p* over a prefix code P, c_v
+    the cycle's rotation at v = r(p), and minus its star; with one edge out
+    of each cycle vertex, plus minus = minus plus = sum of p p* over P,
+    which must refine e(A), and then e(A) z = z e(A) = z.  Only plus goes to
+    is_central: [z*, x] = -[z, x*]* and the generators v, e, e* are closed
+    under the star.  compute_center's Arr(C) always refines Arr(A): each p
+    enters A first at one q in Arr(A), then stays in A, the double
+    annihilator of C, whose vertices all reach C (a vertex that misses C
+    has its closure in C's annihilator) and which, finitary, has no other
+    cycle; so the suffixes below q form a complete code at r(q)."""
+    if any(m.p != m.q or c != 1 for e in idempotents for m, c in e._terms.items()):
         return False
-    complete = _refines(g, _trie(m.p for m, _ in terms), {v: {} for v in g.vertices})
-    if not complete or not all(is_central(e)[0] for e in idempotents):
+    uniform = _kind_rule(g, *_labelled_trie((i, m.p) for i, e in enumerate(idempotents) for m in e._terms))
+    if uniform is None or not (uniform or all(is_central(e)[0] for e in idempotents)):
         return False
     for atom, e, pair in zip(atoms, idempotents, laurent):
         if pair is None:
@@ -157,7 +195,7 @@ def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
         plus, minus = pair
         rotations = cycle_rotations(g, atom.cycle)
         arrivals = []
-        for m, c in plus.terms.items():
+        for m, c in plus._terms.items():
             p = m.q
             loop = rotations.get(p.range(g))
             if c != 1 or loop is None or m.p != Path(p.source, p.edges + loop):
@@ -165,10 +203,9 @@ def _verify(g: Graph, atoms, idempotents, laurent) -> bool:
             arrivals.append(p)
         ptrie = _trie(arrivals)
         exitless = all(len(g.out_edges(v)) == 1 for v in rotations)
-        if not ptrie or not exitless or minus.terms != star(plus).terms:
+        if not ptrie or not exitless or minus._terms != star(plus)._terms:
             return False
-        refined = _refines(g, ptrie, _trie(m.p for m in e.terms))
-        if not (refined and is_central(plus)[0] and is_central(minus)[0]):
+        if not (_refines(g, ptrie, _trie(m.p for m in e._terms)) and is_central(plus)[0]):
             return False
     return True
 

@@ -96,6 +96,16 @@ class Graph:
         return {v: tuple(es) for v, es in table.items()}
 
     @cached_property
+    def _targets(self) -> dict[str, dict[str, str]]:
+        """Each vertex's out-edges as edge id -> range."""
+        return {v: {e.id: e.dst for e in es} for v, es in self._out.items()}
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """Each vertex's index in vertices and edge id's in edges (disjoint ids)."""
+        return {x: i for xs in (self.vertices, (e.id for e in self.edges)) for i, x in enumerate(xs)}
+
+    @cached_property
     def _in(self) -> dict[str, tuple[Edge, ...]]:
         table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -471,8 +481,8 @@ def find_cycle_within(g: Graph, allowed: Iterable[str]) -> Cycle | None:
     limit."""
     allowed = vertex_subset(g, allowed)
     state: dict[str, str] = {}
-    for root in g.vertices:
-        if root not in allowed or root in state:
+    for root in sorted(allowed, key=g._position.__getitem__):
+        if root in state:
             continue
         state[root] = "active"
         trail: list[Edge] = []

@@ -8,13 +8,17 @@ shares code with the package under test, except that the exitless-cycle
 scan filters the package's all-cycles search, which shares nothing with the
 condensation it is compared against.  Beside the sweep sit the set-based
 lattice listing and its closure checks, which the bitmask listing replaced;
-they share the package's atoms and its set-valued annihilators.
+they share the package's atoms and its set-valued annihilators.  The cycle
+search within a vertex set tries every vertex of the graph as a root, as
+find_cycle_within did before it rooted only in the set.
 
 The algebra oracles at the end decide centrality and the center's relations
 by full products and commutators in normal form, the search that the
 library's local certificate replaces; they are quadratic in the size of the
 generators, so they only run on small inputs.  The normal-form comparisons
-that the certificate's complete prefix codes replace sit beside them.  The
+that the certificate's complete prefix codes replace sit beside them, and
+the certificate as it stood before the kind rule, which shares the tries
+and is_central with the package but runs is_central on every generator.  The
 degree-bounded kernel oracle keeps every candidate and every generator's
 commutator rows, sharing only the candidate list and the RREF with the
 package.  Beside them sit the constructions that only tests use: the normal
@@ -47,8 +51,9 @@ from ckcenter import (
     unit,
     zero,
 )
-from ckcenter.algebra import AlgebraElement, Monomial
-from ckcenter.graphs import GraphError, Path, VertexSet, is_hereditary, set_sort_key
+from ckcenter.algebra import AlgebraElement, Monomial, cycle_rotations, is_central
+from ckcenter.center import _refines, _trie
+from ckcenter.graphs import GraphError, Path, VertexSet, canonical_cycle, is_hereditary, set_sort_key
 from ckcenter.hereditary import (
     _PAIRWISE_VERIFY_CAP,
     DEFAULT_MAX_VERTICES,
@@ -322,6 +327,39 @@ def oracle_simplicity(g: Graph) -> SimplicityReport:
     return SimplicityReport(True)
 
 
+def oracle_find_cycle_within(g: Graph, allowed) -> Cycle | None:
+    """find_cycle_within with a DFS rooted at every vertex of g in turn,
+    skipping those outside the allowed set."""
+    allowed = frozenset(allowed)
+    state: dict[str, str] = {}
+    for root in g.vertices:
+        if root not in allowed or root in state:
+            continue
+        state[root] = "active"
+        trail = []
+        work = [(root, iter(g.out_edges(root)))]
+        while work:
+            v, pending = work[-1]
+            for e in pending:
+                if e.dst not in allowed:
+                    continue
+                if e.dst not in state:
+                    state[e.dst] = "active"
+                    trail.append(e)
+                    work.append((e.dst, iter(g.out_edges(e.dst))))
+                    break
+                if state[e.dst] == "active":
+                    verts = [root] + [t.dst for t in trail]
+                    k = verts.index(e.dst)
+                    return canonical_cycle(g, tuple(t.id for t in trail[k:]) + (e.id,))
+            else:
+                state[v] = "done"
+                work.pop()
+                if trail:
+                    trail.pop()
+    return None
+
+
 # ---------------------------------------------------------------------------
 # algebra: products and commutators instead of local certificates
 
@@ -365,6 +403,38 @@ def oracle_verify(g: Graph, atoms, idempotents, laurent) -> bool:
         if multiply(plus, minus) != ei or multiply(minus, plus) != ei:
             return False
         if star(plus) != minus:
+            return False
+    return True
+
+
+def oracle_literal_verify(g: Graph, atoms, idempotents, laurent) -> bool:
+    """The center's certificate as it stood before the kind rule: the same
+    shape checks and complete prefix codes, with is_central run on every
+    idempotent and on both halves of every Laurent pair."""
+    terms = [(m, c) for e in idempotents for m, c in e.terms.items()]
+    if any(m.p != m.q or c != 1 for m, c in terms):
+        return False
+    complete = _refines(g, _trie(m.p for m, _ in terms), {v: {} for v in g.vertices})
+    if not complete or not all(is_central(e)[0] for e in idempotents):
+        return False
+    for atom, e, pair in zip(atoms, idempotents, laurent):
+        if pair is None:
+            continue
+        plus, minus = pair
+        rotations = cycle_rotations(g, atom.cycle)
+        arrivals = []
+        for m, c in plus.terms.items():
+            p = m.q
+            loop = rotations.get(p.range(g))
+            if c != 1 or loop is None or m.p != Path(p.source, p.edges + loop):
+                return False
+            arrivals.append(p)
+        ptrie = _trie(arrivals)
+        exitless = all(len(g.out_edges(v)) == 1 for v in rotations)
+        if not ptrie or not exitless or minus.terms != star(plus).terms:
+            return False
+        refined = _refines(g, ptrie, _trie(m.p for m in e.terms))
+        if not (refined and is_central(plus)[0] and is_central(minus)[0]):
             return False
     return True
 

@@ -24,7 +24,7 @@ from ckcenter import (
     unit,
 )
 from ckcenter.algebra import AlgebraElement, Monomial
-from ckcenter.center import _refines, _trie, _verify
+from ckcenter.center import _kind_rule, _labelled_trie, _refines, _trie, _verify
 from ckcenter.hereditary import _verify_atoms, path_sort_key
 from ckcenter.cli import main
 from ckcenter.graphs import Path
@@ -35,6 +35,7 @@ from oracles import (
     oracle_code_sum_equals,
     oracle_conjugated_cycle_power,
     oracle_is_central,
+    oracle_literal_verify,
     oracle_prefix_free,
     oracle_rotation_is_unit,
     oracle_verify,
@@ -398,3 +399,143 @@ def test_atom_certificate_rejects_mutants(exhaustive_corpus, random_graphs):
             assert not _verify_atoms(g, mutant), (kind, g.edges)
             seen[kind] += 1
     assert len(seen) == 6 and min(seen.values()) > 0, seen
+
+
+# ---------------------------------------------------------------------------
+# the kind rule and the star lemma in place of is_central
+
+def _moved_leaves(g: Graph, report):
+    """Each leaf of an idempotent with more than one term, moved into the
+    next atom's idempotent: every sum is kept, but e(A) loses a proper part."""
+    gens = list(report.generators)
+    idem = [i for i, label in enumerate(report.generator_labels) if label.startswith("e(")]
+    for n, i in enumerate(idem):
+        j = idem[(n + 1) % len(idem)]
+        if i == j or len(gens[i].terms) < 2:
+            continue
+        for m in sorted(gens[i].terms, key=lambda t: path_sort_key(t.p)):
+            moved = list(gens)
+            moved[i] = AlgebraElement(g, {k: c for k, c in gens[i].terms.items() if k != m})
+            moved[j] = AlgebraElement(g, {**gens[j].terms, m: 1})
+            yield moved
+
+
+def _labelled_idempotents(idempotents):
+    return _labelled_trie((i, m.p) for i, e in enumerate(idempotents) for m in e.terms)
+
+
+def test_verify_matches_literal_oracle_on_corpora(exhaustive_corpus, random_graphs):
+    """The kind rule accepts every center's idempotents, as the literal
+    certificate does, and refuses every leaf moved to another atom, where it
+    fails and is_central refuses."""
+    moved = 0
+    for g in list(exhaustive_corpus) + list(random_graphs):
+        report = compute_center(g)
+        idempotents, laurent = _split(report.atoms, report.generators)
+        assert _kind_rule(g, *_labelled_idempotents(idempotents)) is True, g.edges
+        assert _verify(g, report.atoms, idempotents, laurent), g.edges
+        assert oracle_literal_verify(g, report.atoms, idempotents, laurent), g.edges
+        for gens in _moved_leaves(g, report):
+            m_idem, m_laurent = _split(report.atoms, gens)
+            assert _kind_rule(g, *_labelled_idempotents(m_idem)) is False, g.edges
+            assert not _verify(g, report.atoms, m_idem, m_laurent), g.edges
+            assert not oracle_literal_verify(g, report.atoms, m_idem, m_laurent), g.edges
+            moved += 1
+    assert moved > 1000, moved
+
+
+def test_verify_matches_literal_oracle_on_mutants():
+    """Every term mutant of every generator, every trie mutant and every
+    moved leaf gets the literal certificate's verdict; the normal-form
+    oracle refuses the moved leaves too."""
+    rng = random.Random(22)
+    verdicts = Counter()
+    for g in _mutation_graphs() + [cycle_graph(1), cycle_graph(2)]:
+        report = compute_center(g)
+        flat = list(report.generators)
+        cases = [
+            (kind, flat[:i] + [mutant] + flat[i + 1 :])
+            for i, el in enumerate(flat)
+            for index in range(len(el.terms))
+            for kind, mutant in _mutants(el, index)
+        ]
+        cases += list(_trie_mutants(g, report, rng))
+        cases += [("leaf moved", gens) for gens in _moved_leaves(g, report)]
+        for kind, gens in cases:
+            m_idem, m_laurent = _split(report.atoms, gens)
+            ours = _verify(g, report.atoms, m_idem, m_laurent)
+            assert ours == oracle_literal_verify(g, report.atoms, m_idem, m_laurent), (g.edges, kind)
+            if kind == "leaf moved":
+                assert not oracle_verify(g, report.atoms, m_idem, m_laurent), g.edges
+            verdicts[kind, ours] += 1
+    assert verdicts["leaf split", True] and verdicts["leaf moved", False], verdicts
+    assert not verdicts["leaf moved", True] and not verdicts["swap", True], verdicts
+
+
+def test_compute_center_tests_no_idempotent(monkeypatch, exhaustive_corpus, random_graphs):
+    """On compute_center's own output, is_central sees only the z of each
+    T-atom: the kind rule covers the idempotents, the star lemma z^-1."""
+    tested = []
+    real = is_central
+    monkeypatch.setattr("ckcenter.center.is_central", lambda a: tested.append(a) or real(a))
+    for g in list(exhaustive_corpus) + list(random_graphs):
+        tested.clear()
+        report = compute_center(g)
+        assert report.verified, g.edges
+        plus = [el for el, label in zip(report.generators, report.generator_labels) if label.endswith(")^1")]
+        assert len(tested) == len(plus) == report.t_count, g.edges
+        assert all(a is b for a, b in zip(tested, plus)), g.edges
+
+
+def _fed_cycles() -> Graph:
+    """A loop, a 2-cycle and a sink, all fed by three stages of parallel
+    edge pairs."""
+    verts = ["s0", "s1", "s2", "s3", "c1", "d1", "d2", "t"]
+    edges = [(f"{k}{i}", f"s{i}", f"s{i + 1}") for i in range(3) for k in "pq"]
+    edges += [("fc", "s3", "c1"), ("fd", "s3", "d1"), ("ft", "s3", "t")]
+    edges += [("lc", "c1", "c1"), ("d12", "d1", "d2"), ("d21", "d2", "d1")]
+    return Graph(verts, edges)
+
+
+def test_certificate_needs_no_normal_form_with_t_atoms(monkeypatch):
+    """With the star lemma, not even a T-atom's z^-1 reaches normal_form."""
+
+    def refuse(a):
+        raise AssertionError("normal_form called")
+
+    monkeypatch.setattr("ckcenter.algebra.normal_form", refuse)
+    monkeypatch.setattr("ckcenter.center.normal_form", refuse)
+    for g in (cycle_graph(1), cycle_graph(2), cycle_graph(3)):
+        report = compute_center(g)
+        assert report.verified and report.summand_description() == "C^0 x T^1"
+    report = compute_center(_fed_cycles())
+    assert report.verified and report.summand_description() == "C^1 x T^2"
+    # 15 paths from the stages into each terminal, plus its own vertices
+    assert [len(e.terms) for e in report.generators] == [16, 16, 16, 16, 17, 17, 17]
+
+
+def _padded(g: Graph) -> Graph:
+    """g beside an unrelated path and loop, whose vertices come first and
+    whose edges interleave with g's."""
+    pad = [("y1", "w1", "w2"), ("y2", "w2", "w3"), ("y3", "w3", "w3")]
+    edges = [e for pair in zip(pad, g.edges) for e in pair]
+    edges += pad[len(g.edges) :] + list(g.edges[len(pad) :])
+    return Graph(["w1", "w2", "w3", *g.vertices], edges)
+
+
+def test_is_central_at_support_ignores_padding(centers):
+    """Edges away from the element's corners change neither the verdict nor
+    the witness, on the center's generators and on random sums."""
+    rng = random.Random(2022)
+    checked = Counter()
+    for report in centers[::3]:
+        g = report.graph
+        big = _padded(g)
+        pool = bounded_basis_monomials(g, 2)
+        sums = [rng.choice(report.generators) + AlgebraElement(g, {rng.choice(pool): rng.choice([-1, 1])})]
+        for el in list(report.generators) + sums:
+            padded = AlgebraElement(big, el.terms)
+            verdict = is_central(padded)
+            assert verdict == is_central(el) == oracle_is_central(padded), (g.edges, format_element(el))
+            checked[verdict[0]] += 1
+    assert checked[True] > 100 and checked[False] > 100, checked

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -25,6 +26,7 @@ from ckcenter import (
     sinks,
 )
 from ckcenter.graphs import find_cycle_within
+from ckcenter.hereditary import arrival_region, lattice_atoms
 
 from conftest import cycle_graph
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     factor_graph,
     oracle_cycles,
     oracle_descendants,
+    oracle_find_cycle_within,
     oracle_hereditary_sets,
     oracle_is_saturated,
     oracle_saturation,
@@ -456,3 +459,23 @@ def test_cycles_on_a_long_chain_is_linear(monkeypatch):
     monkeypatch.setattr(Graph, "out_edges", counted)
     assert cycles(g) == []
     assert len(lookups) <= 10 * n
+
+
+def test_find_cycle_within_roots_match_oracle(exhaustive_corpus, random_graphs, wide_random_graphs):
+    """Rooting the search only in the allowed set, in vertex order, finds the
+    same witness as rooting it at every vertex: on every subset of the small
+    graphs, and on the arrival regions and some random subsets of the wide
+    ones."""
+    rng = random.Random(22)
+    found = 0
+    cases = [(g, all_subsets(g.vertices)) for g in list(exhaustive_corpus) + list(random_graphs[:150])]
+    for g in wide_random_graphs:
+        sets = [arrival_region(g, atom) for atom, _ in lattice_atoms(g)]
+        sets += [frozenset(v for v in g.vertices if rng.random() < 0.6) for _ in range(8)]
+        cases.append((g, sets + [g.vertex_set]))
+    for g, sets in cases:
+        for allowed in sets:
+            witness = find_cycle_within(g, allowed)
+            assert witness == oracle_find_cycle_within(g, allowed), (g.edges, sorted(allowed))
+            found += witness is not None
+    assert found > 1000, found
