@@ -40,7 +40,7 @@ from .graphs import (
     vertex_subset,
 )
 from .hereditary import arrival_paths
-from .linalg import nullspace
+from .linalg import _sparse_nullspace
 
 Rational = int | Fraction
 MIDDLE_DOT = "·"
@@ -429,14 +429,13 @@ def center_degree_bounded(
     1. [v, p q*] is +-p q* when s(p) != s(q), so vertex rows zero those
        candidates and vanish on the rest;
     2. an element with only s(p) = s(q) terms that commutes with every edge
-       commutes with every ghost (the corner lemma of is_central);
-    3. [e, x] has grade |p| - |q| + 1 on a term p q* of x, and rewriting
-       keeps grades, so each grade is an independent block.
+       commutes with every ghost (the corner lemma of is_central).
     """
     monos = _bounded_candidates(g, degree, oracle_bound)
+    cols, rows = _edge_rows(g, monos)
     return [
-        AlgebraElement(g, {monos[j]: v for j, v in vec.items()})
-        for vec in _kernel_vectors(g, monos)
+        AlgebraElement(g, {monos[cols[k]]: v for k, v in vec.items()})
+        for vec in _sparse_nullspace(rows, len(cols))
     ]
 
 
@@ -460,53 +459,36 @@ def _bounded_candidates(g: Graph, degree: int, oracle_bound: int) -> list[Monomi
     return bounded_basis_monomials(g, degree)
 
 
-def _edge_blocks(g: Graph, monos: list[Monomial]) -> list[tuple[list[int], list[dict[int, int]]]]:
-    """The kernel's integer edge rows, one block (cols, rows) per grade over
+def _edge_rows(g: Graph, monos: list[Monomial]) -> tuple[list[int], list[dict[int, int]]]:
+    """The kernel's integer edge rows over cols, the positions in monos of
     the candidates with s(p) = s(q); row entries are keyed by position in
     cols.  Rows come from the product rules: e (p q*) = (e p) q* when
     s(p) = r(e), and (p q*) e is (p e) r(e)* when q = s(e) or p t* when
     q = e t.  Only (e)(q1 e)* with e special is not a basis monomial; it is
     rewritten once."""
     gamma = _default_special(g)
-    grades: dict[int, list[int]] = {}
-    for j, m in enumerate(monos):
-        if m.p.source == m.q.source:
-            grades.setdefault(len(m.p) - len(m.q), []).append(j)
-    blocks = []
-    for cols in grades.values():
-        rows: dict[tuple, dict[int, int]] = {}
-        for k, j in enumerate(cols):
-            p, q = monos[j].p, monos[j].q
-            for e in g.edges:
-                out = []
-                if p.source == e.dst:
-                    if not p.edges and q.edges[-1:] == (e.id,) and gamma[e.src] == e.id:
-                        q1 = q.edges[:-1]
-                        out.append(((e.src, (), q.source, q1), 1))
-                        out += [((e.src, (f.id,), q.source, q1 + (f.id,)), -1)
-                                for f in g.out_edges(e.src) if f.id != e.id]
-                    else:
-                        out.append(((e.src, (e.id,) + p.edges, q.source, q.edges), 1))
-                if q.edges[:1] == (e.id,):
-                    out.append(((p.source, p.edges, e.dst, q.edges[1:]), -1))
-                elif not q.edges and q.source == e.src:
-                    out.append(((p.source, p.edges + (e.id,), e.dst, ()), -1))
-                for key, c in out:
-                    row = rows.setdefault((e.id, key), {})
-                    row[k] = row.get(k, 0) + c
-        blocks.append((cols, list(rows.values())))
-    return blocks
-
-
-def _kernel_vectors(g: Graph, monos: list[Monomial]) -> list[dict[int, Fraction]]:
-    """center_degree_bounded's kernel as sparse vectors over monos: the exact
-    nullspace of each block of _edge_blocks."""
-    basis = []
-    for cols, rows in _edge_blocks(g, monos):
-        for vec in nullspace(rows, len(cols)):
-            basis.append({cols[k]: v for k, v in enumerate(vec) if v})
-    # each vector's free column is its last, as pivots lead their rows
-    return sorted(basis, key=max)
+    cols = [j for j, m in enumerate(monos) if m.p.source == m.q.source]
+    rows: dict[tuple, dict[int, int]] = {}
+    for k, j in enumerate(cols):
+        p, q = monos[j]
+        for e in g.edges:
+            out = []
+            if p.source == e.dst:
+                if not p.edges and q.edges[-1:] == (e.id,) and gamma[e.src] == e.id:
+                    q1 = q.edges[:-1]
+                    out.append(((e.src, (), q.source, q1), 1))
+                    out += [((e.src, (f.id,), q.source, q1 + (f.id,)), -1)
+                            for f in g.out_edges(e.src) if f.id != e.id]
+                else:
+                    out.append(((e.src, (e.id,) + p.edges, q.source, q.edges), 1))
+            if q.edges[:1] == (e.id,):
+                out.append(((p.source, p.edges, e.dst, q.edges[1:]), -1))
+            elif not q.edges and q.source == e.src:
+                out.append(((p.source, p.edges + (e.id,), e.dst, ()), -1))
+            for key, c in out:
+                row = rows.setdefault((e.id, key), {})
+                row[k] = row.get(k, 0) + c
+    return cols, list(rows.values())
 
 
 # ---------------------------------------------------------------------------

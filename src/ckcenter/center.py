@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (
+    DEFAULT_ORACLE_BOUND,
     AlgebraElement,
     _bounded_candidates,
-    _edge_blocks,
+    _edge_rows,
     central_idempotent,
     conjugated_cycle_power,
     cycle_rotations,
@@ -287,17 +288,6 @@ class CenterCrossCheck:
         }
 
 
-def _coordinates(monos_index, el: AlgebraElement):
-    nf = normal_form(el)
-    vec = {}
-    for m, c in nf.terms.items():
-        j = monos_index.get(m)
-        if j is None:
-            return None
-        vec[j] = c
-    return vec
-
-
 def predicted_central_elements(
     g: Graph, degree: int, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> list[tuple[str, AlgebraElement]]:
@@ -332,11 +322,11 @@ def predicted_central_elements(
     ]
 
 
-def _kernel_dims(blocks, pred_vecs) -> tuple[bool, int, int]:
+def _kernel_dims(cols, rows, pred_vecs) -> tuple[bool, int, int]:
     """(predicted_in_kernel, kernel_dim, predicted_dim), exactly, with no
     rational elimination when ranks over F_p certify them.
 
-    Let A be the blocks' edge rows over their n diagonal columns and P the
+    Let A be the edge rows over the n diagonal columns cols and P the
     predicted vectors.  A vector lies in the kernel iff its support is
     diagonal and every row annihilates it, an exact check that indexes the
     rows by the predictions' columns, so each vector meets only the rows its
@@ -350,31 +340,29 @@ def _kernel_dims(blocks, pred_vecs) -> tuple[bool, int, int]:
     both ranks are taken over Q.
     """
     wanted = {j for vec in pred_vecs for j in vec}
-    images: dict[int, dict[tuple[int, int], int]] = {}
-    for b, (cols, rows) in enumerate(blocks):
-        for i, row in enumerate(rows):
-            for k, a in row.items():
-                if cols[k] in wanted:
-                    images.setdefault(cols[k], {})[b, i] = a
-    diagonal = {j for cols, _ in blocks for j in cols}
-    in_kernel = wanted <= diagonal
+    images: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        for k, a in row.items():
+            if cols[k] in wanted:
+                images.setdefault(cols[k], {})[i] = a
+    in_kernel = wanted <= set(cols)
     for vec in pred_vecs:
-        dots: dict[tuple[int, int], int] = {}
+        dots: dict[int, int] = {}
         for j, c in vec.items():
             for i, a in images.get(j, {}).items():
                 dots[i] = dots.get(i, 0) + a * c
         in_kernel = in_kernel and not any(dots.values())
     if in_kernel and all(type(c) is int for vec in pred_vecs for c in vec.values()):
         r_p = rank_mod_p(pred_vecs)
-        if r_p == len(diagonal) - sum(rank_mod_p(rows) for _, rows in blocks):
+        if r_p == len(cols) - rank_mod_p(rows):
             return True, r_p, r_p
-    return in_kernel, len(diagonal) - sum(rank(rows) for _, rows in blocks), rank(pred_vecs)
+    return in_kernel, len(cols) - rank(rows), rank(pred_vecs)
 
 
 def cross_check_center(
     g: Graph,
     degree: int,
-    oracle_bound: int = 150,
+    oracle_bound: int = DEFAULT_ORACLE_BOUND,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> CenterCrossCheck:
     """Verify the structural center against the degree-bounded kernel.
@@ -389,15 +377,11 @@ def cross_check_center(
     monos = _bounded_candidates(g, degree, oracle_bound)
     index = {m: j for j, m in enumerate(monos)}
     predicted = predicted_central_elements(g, degree, max_vertices=max_vertices)
-    pred_vecs = []
-    labels = []
-    for label, el in predicted:
-        vec = _coordinates(index, el)
-        if vec is None:
-            raise RuntimeError("internal inconsistency: predicted element escaped filter")
-        pred_vecs.append(vec)
-        labels.append(label)
-    in_kernel, kernel_dim, predicted_dim = _kernel_dims(_edge_blocks(g, monos), pred_vecs)
+    try:
+        pred_vecs = [{index[m]: c for m, c in normal_form(el)._terms.items()} for _, el in predicted]
+    except KeyError:
+        raise RuntimeError("internal inconsistency: predicted element escaped filter") from None
+    in_kernel, kernel_dim, predicted_dim = _kernel_dims(*_edge_rows(g, monos), pred_vecs)
     return CenterCrossCheck(
         degree=degree,
         candidate_count=len(monos),
@@ -405,5 +389,5 @@ def cross_check_center(
         predicted_dim=predicted_dim,
         predicted_in_kernel=in_kernel,
         dims_match=predicted_dim == kernel_dim,
-        predicted_labels=tuple(labels),
+        predicted_labels=tuple(label for label, _ in predicted),
     )

@@ -8,7 +8,7 @@ elements given in the text grammar, and the brute-force cross-check.
 Every subcommand reads a graph as JSON from a file path or from stdin
 ("-"), prints a human summary by default and a JSON document under
 --json, and exits 0 on success, 1 when a size guard stops the analysis,
-2 on malformed input.
+2 on malformed input and 3 on an internal failure.
 """
 
 from __future__ import annotations
@@ -341,6 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # SizeLimitError is a RuntimeError, so this clause comes after its own
+        print(f"error: internal failure: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def console() -> None:

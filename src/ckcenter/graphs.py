@@ -354,9 +354,7 @@ def cycles(g: Graph) -> list[Cycle]:
 
 def exits(g: Graph, cycle: Cycle) -> frozenset[str]:
     """Edges that leave a cycle vertex but are not part of the cycle."""
-    on = {g.edge(eid).src for eid in cycle.edges}
-    body = set(cycle.edges)
-    return frozenset(e.id for e in g.edges if e.src in on and e.id not in body)
+    return frozenset(e.id for v in cycle.vertices(g) for e in g.out_edges(v)) - set(cycle.edges)
 
 
 class Condensation(NamedTuple):

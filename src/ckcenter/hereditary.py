@@ -153,10 +153,16 @@ def lattice_atoms(g: Graph) -> tuple[tuple[VertexSet, Cycle | None], ...]:
         # blocks are disjoint, so the sum of those that meet mask is their union
         blocks = [b for b in blocks if not b & mask] + [sum(b for b in blocks if b & mask)]
     exitless = {cond.below[c.vertices(g)[0]]: c for c in ne_cycles(g)}
-    atoms = []
+    block_of, members = {}, {b: [] for b in blocks}
     for b in blocks:
-        members = frozenset(v for v, m in cond.below.items() if not m & ~b)
-        atoms.append((members, None if b & above else exitless.get(b)))
+        rest = b
+        while rest:
+            block_of[rest & -rest] = b
+            rest &= rest - 1
+    for v, m in cond.below.items():
+        if not m & ~(b := block_of[m & -m]):
+            members[b].append(v)
+    atoms = [(frozenset(vs), None if b & above else exitless.get(b)) for b, vs in members.items()]
     return tuple(sorted(atoms, key=lambda a: set_sort_key(a[0])))
 
 
@@ -301,16 +307,30 @@ def _missing(bits: _Bits, kind: str, x: int, y: int) -> RuntimeError:
 
 def _verify_atoms(g: Graph, atoms) -> bool:
     """Certify (atom, cycle) pairs for what the center uses: nonempty,
-    annihilator-closed, finitary, pairwise disjoint atoms whose union has an
-    empty annihilator, and a cycle exactly on the atoms that are double
-    annihilators of finitary exitless cycles, one atom per such cycle."""
+    annihilator-closed, finitary, minimal, pairwise disjoint atoms whose
+    union has an empty annihilator, and a cycle exactly on the atoms that
+    are double annihilators of finitary exitless cycles, one atom per such
+    cycle.
+
+    An annihilator-closed A is W_T, the vertices whose terminal components
+    (the one-bit masks in A) all lie in T; a smaller nonempty element is W_X
+    for some X ⊊ T, Y = T - X.  A is minimal iff the below masks of its
+    cyclic vertices connect T.  If they do, one meets X and Y, so its cycle
+    lies outside W_X and reaches it: W_X is not finitary.  If no mask
+    crosses a split, W_X is finitary: a cycle outside W_X that reaches it
+    would cross the split inside A, or lie outside the finitary A.
+    """
     finitary = [c for c in ne_cycles(g) if is_finitary(g, c.vertex_set(g))]
     cycle_of = {double_annihilator(g, c.vertex_set(g)): c for c in finitary}
+    below, cyclic = condensation(g).below, condensation(g).cyclic
     union: VertexSet = frozenset()
     for atom, cycle in atoms:
         if not atom or atom & union or double_annihilator(g, atom) != atom:
             return False
-        if not is_finitary(g, atom) or cycle_of.get(atom) != cycle:
+        blocks = {m for m in map(below.get, atom) if not m & (m - 1)}
+        for mask in {below[v] for v in atom if v in cyclic}:
+            blocks = {b for b in blocks if not b & mask} | {sum(b for b in blocks if b & mask)}
+        if not is_finitary(g, atom) or cycle_of.get(atom) != cycle or len(blocks) != 1:
             return False
         union |= atom
     return not annihilator(g, union) and sum(c is not None for _, c in atoms) == len(finitary)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 Row = dict[int, Fraction]
 
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 _P = (1 << 61) - 1
 
 
@@ -32,10 +32,8 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
     entries in free columns.
     """
     r = dict(row)
-    for c in sorted(r.keys() & pivots.keys()):
-        f = r.get(c)
-        if not f:
-            continue
+    for c in r.keys() & pivots.keys():
+        f = r[c]
         for cc, vv in pivots[c].items():
             nv = r.get(cc, 0) - f * vv
             if nv:
@@ -74,22 +72,24 @@ def _pivot_table(rows: Iterable[Sequence[Fraction] | Row]) -> dict[int, Row]:
     return pivots
 
 
-def nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
-    """Canonical basis of {x : Ax = 0}: one vector per free column, with a 1
-    in the free position and pivot entries read off the RREF."""
+def _sparse_nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
+    """Canonical basis of {x : Ax = 0}: one vector per free column, in
+    column order, with a 1 in the free position and pivot entries read off
+    the RREF in one pass over its nonzeros."""
     pivots = _pivot_table(rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
+    basis: dict[int, Row] = {free: {} for free in range(ncols) if free not in pivots}
+    for pc in sorted(pivots):
+        for cc, vv in pivots[pc].items():
+            if cc != pc:
+                basis[cc][pc] = -vv
+    for free, vec in basis.items():
         vec[free] = _ONE
-        for pc, pr in pivots.items():
-            vv = pr.get(free)
-            if vv:
-                vec[pc] = -vv
-        basis.append(vec)
-    return basis
+    return list(basis.values())
+
+
+def nullspace(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
+    """_sparse_nullspace's basis as dense vectors."""
+    return [[vec.get(c, _ZERO) for c in range(ncols)] for vec in _sparse_nullspace(rows, ncols)]
 
 
 def rank(vectors: Iterable[Sequence[Fraction] | Row]) -> int:

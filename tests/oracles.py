@@ -10,7 +10,10 @@ condensation it is compared against.  Beside the sweep sit the set-based
 lattice listing and its closure checks, which the bitmask listing replaced;
 they share the package's atoms and its set-valued annihilators.  The cycle
 search within a vertex set tries every vertex of the graph as a root, as
-find_cycle_within did before it rooted only in the set.
+find_cycle_within did before it rooted only in the set; the exits of a
+cycle scan every edge of the graph, and the lattice atoms scan every
+vertex once per block, as the package did before it visited only the
+cycle's out-edges and placed each vertex in one pass.
 
 The algebra oracles at the end decide centrality and the center's relations
 by full products and commutators in normal form, the search that the
@@ -41,11 +44,13 @@ from ckcenter import (
     arrival_paths,
     bounded_basis_monomials,
     commutator,
+    condensation,
     cycles,
     exits,
     generators,
     make_monomial,
     multiply,
+    ne_cycles,
     normal_form,
     star,
     unit,
@@ -286,6 +291,31 @@ def oracle_ne_cycles(g: Graph) -> list[Cycle]:
         if all(e.id in c.edges for e in g.edges if e.src in on):
             out.append(c)
     return out
+
+
+def oracle_exits(g: Graph, cycle: Cycle) -> frozenset[str]:
+    """exits by a scan of every edge of g, as it was before it visited only
+    the cycle's own out-edges."""
+    on = {g.edge(eid).src for eid in cycle.edges}
+    body = set(cycle.edges)
+    return frozenset(e.id for e in g.edges if e.src in on and e.id not in body)
+
+
+def oracle_lattice_atoms(g: Graph) -> tuple[tuple[VertexSet, Cycle | None], ...]:
+    """lattice_atoms with each block's members found by a scan of every
+    vertex's mask, as it was before one pass placed each vertex."""
+    cond = condensation(g)
+    blocks = [1 << i for i in range(len(cond.terminal))]
+    above = 0
+    for mask in cond.cycle_masks:
+        above |= mask
+        blocks = [b for b in blocks if not b & mask] + [sum(b for b in blocks if b & mask)]
+    exitless = {cond.below[c.vertices(g)[0]]: c for c in ne_cycles(g)}
+    atoms = []
+    for b in blocks:
+        members = frozenset(v for v, m in cond.below.items() if not m & ~b)
+        atoms.append((members, None if b & above else exitless.get(b)))
+    return tuple(sorted(atoms, key=lambda a: set_sort_key(a[0])))
 
 
 def oracle_classify_atom(g: Graph, atom: frozenset[str]) -> list[Cycle]:

@@ -5,6 +5,7 @@ certificate of the lattice atoms that the center is built on."""
 import random
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,7 @@ from ckcenter import (
 )
 from ckcenter.algebra import AlgebraElement, Monomial
 from ckcenter.center import _kind_rule, _labelled_trie, _refines, _trie, _verify
-from ckcenter.hereditary import _verify_atoms, path_sort_key
+from ckcenter.hereditary import _verify_atoms, double_annihilator, path_sort_key
 from ckcenter.cli import main
 from ckcenter.graphs import Path
 
@@ -399,6 +400,37 @@ def test_atom_certificate_rejects_mutants(exhaustive_corpus, random_graphs):
             assert not _verify_atoms(g, mutant), (kind, g.edges)
             seen[kind] += 1
     assert len(seen) == 6 and min(seen.values()) > 0, seen
+
+
+def _merged_pairs(g: Graph, atoms):
+    """Each pair of atoms replaced by their join, a finitary element that
+    with the other atoms covers the graph, carrying either's cycle or none."""
+    atoms = list(atoms)
+    for (i, (a, ca)), (j, (b, cb)) in combinations(enumerate(atoms), 2):
+        rest = atoms[:i] + atoms[i + 1 : j] + atoms[j + 1 :]
+        for cycle in dict.fromkeys((None, ca, cb)):
+            yield rest + [(double_annihilator(g, a | b), cycle)]
+
+
+def test_atom_certificate_rejects_merged_atoms(exhaustive_corpus, random_graphs):
+    merged = 0
+    for g in list(exhaustive_corpus) + list(random_graphs[:100]):
+        for mutant in _merged_pairs(g, lattice_atoms(g)):
+            assert not _verify_atoms(g, mutant), g.edges
+            merged += 1
+    assert merged >= 700, merged
+
+
+def test_center_refuses_merged_atoms(monkeypatch):
+    import ckcenter.center
+
+    monkeypatch.setattr(ckcenter.center, "lattice_atoms", lambda g: ((g.vertex_set, None),))
+    two_sinks = Graph(["a", "b"], [])
+    fan = Graph(["u0", "u1", "u2"], [("x1", "u0", "u1"), ("x2", "u0", "u2")])
+    for g in (two_sinks, fan):
+        assert not _verify_atoms(g, [(g.vertex_set, None)])
+        with pytest.raises(RuntimeError, match="certificate"):
+            compute_center(g)
 
 
 # ---------------------------------------------------------------------------

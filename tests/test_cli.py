@@ -288,6 +288,24 @@ def test_oracle_bound_exits_1(run):
     assert err
 
 
+def test_internal_failure_exits_3(run, monkeypatch):
+    import ckcenter.center
+
+    monkeypatch.setattr(ckcenter.center, "lattice_atoms", lambda g: ((g.vertex_set, None),))
+    two_sinks = json.dumps({"vertices": ["a", "b"], "edges": []})
+    code, out, err = run(["center"], graph_text=two_sinks)
+    assert (code, out) == (3, "")
+    message = "internal inconsistency: the lattice atoms fail their certificate"
+    assert err == f"error: internal failure: RuntimeError({message!r})\n"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("ckcenter.cli.compute_center", exhausted)
+    code, out, err = run(["center"], graph_text=C3)
+    assert (code, out, err) == (3, "", "error: internal failure: MemoryError()\n")
+
+
 def test_deep_chain_exits_0(run):
     n = 2000
     chain = json.dumps({

@@ -34,6 +34,7 @@ from oracles import (
     factor_graph,
     oracle_cycles,
     oracle_descendants,
+    oracle_exits,
     oracle_find_cycle_within,
     oracle_hereditary_sets,
     oracle_is_saturated,
@@ -294,6 +295,16 @@ def test_exits_fixtures(g2, g4, c3):
     assert exits(g2, cycles(g2)[0]) == {"f"}
     (bcd,) = cycles(g4)
     assert exits(g4, bcd) == frozenset()
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive_corpus", "random_graphs", "wide_random_graphs"])
+def test_exits_match_edge_scan(corpus, request):
+    seen = 0
+    for g in request.getfixturevalue(corpus):
+        for c in cycles(g):
+            assert exits(g, c) == oracle_exits(g, c), (c, g.edges)
+            seen += bool(exits(g, c))
+    assert seen > 0
 
 
 def test_ne_cycles_fixtures(g2, g4, c3):

@@ -32,6 +32,7 @@ from oracles import (
     oracle_is_finitary,
     oracle_is_hereditary,
     oracle_lattice,
+    oracle_lattice_atoms,
     oracle_ne_cycles,
     oracle_simplicity,
     oracle_verify_lattice,
@@ -372,6 +373,12 @@ def test_condensation_matches_naive_sweeps(corpus, request):
             assert classify_atom(g, a) == (matches[0] if matches else None), g.edges
         assert ne_cycles(g) == oracle_ne_cycles(g), g.edges
         assert is_simple_graph(g) == oracle_simplicity(g), g.edges
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive_corpus", "random_graphs", "wide_random_graphs"])
+def test_lattice_atoms_one_pass_matches_block_scan(corpus, request):
+    for g in request.getfixturevalue(corpus):
+        assert lattice_atoms(g) == oracle_lattice_atoms(g), g.edges
 
 
 # ---------------------------------------------------------------------------
