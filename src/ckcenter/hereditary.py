@@ -7,23 +7,37 @@ finite is decided structurally, without enumeration: it is infinite exactly
 when a cycle lies in the region outside W from which W is reachable.
 
 Annihilators W' = {v : no descendant of v lies in W} drive the lattice: the
-double annihilators of arbitrary vertex subsets, filtered down to finitary
-ones, form a finite Boolean algebra whose atoms parametrise the summands of
-the algebra's center.  The atoms and their exitless cycles are read off the
-condensation rather than found by search (lattice_atoms); the center needs
-nothing more.  Only finitary_annihilator_lattice lists the 2^atoms elements,
-each the double annihilator of a union of atoms.
+finitary double annihilators form a finite Boolean algebra whose atoms
+parametrise the summands of the algebra's center.  It is read off the
+condensation in one encoding, below(v): the terminal components (those no
+edge leaves) that v reaches.  lattice_atoms finds the atoms, _verify_atoms
+certifies them in one pass, and only finitary_annihilator_lattice lists the
+2^atoms elements.
 
-The listing works on vertex bitmasks.  A hereditary W is finitary iff no
-vertex of reach(W) - W lies on a cycle: such a vertex reaches W, so does its
-whole cycle, and no vertex of that cycle is in W, or the hereditary W would
-hold the vertex itself.
+For a set T of terminal components let W_T = {v : below(v) ⊆ T}, a
+hereditary set.  Every vertex reaches a terminal component, so the
+annihilator of a hereditary H is W_~T, ~T the terminal components outside
+T, for T those inside H.  So ann(W_T) = W_~T, W_T'' = W_T, and every
+annihilator-closed set is some W_T.
+
+The listing.  The certified atoms' blocks T_a partition the terminal
+components; for a set S of atoms write W_S for W of their union.  Then
+W_S = V - (union of R_a for a not in S), R_a the vertices whose below
+meets T_a, and:
+- ann(W_S) = W_~S, W_S ∩ W_U = W_{S∩U}, and the join
+  (W_S ∪ W_U)'' = ann(W_~S ∩ W_~U) = W_{S∪U};
+- W_S is finitary: a cycle outside it lies in an atom b not in S, so its
+  below lies in T_b and misses T_S, which every vertex of W_S reaches;
+- every finitary W_T is some W_S: if T split a block T_a, a cycle mask of
+  the minimal atom a would meet both parts, and its cycle, outside W_T,
+  would reach W_T.
+So the 2^atoms sets W_S are the lattice, closed under complement, meet
+and join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .graphs import (
     Cycle,
@@ -137,13 +151,12 @@ def lattice_atoms(g: Graph) -> tuple[tuple[VertexSet, Cycle | None], ...]:
     """The atoms of the finitary lattice in (size, members) order, each with
     the exitless cycle of a T-atom, or None for a C-atom.
 
-    (X')' = W_T, the vertices whose terminal components all lie in T, for T
-    the terminal components that meet X.  W_T is finitary unless a cycle
-    outside it reaches it, which forces every terminal component below that
-    cycle into T.  So the components below each non-terminal cycle join one
-    block, and the atoms are the blocks' W_T.  A T-atom is a block of one
-    exitless cycle with no cycle above it, so finitary, and W_T is its
-    double annihilator.
+    (X')' = W_T for T the terminal components that meet X.  W_T is finitary
+    unless a cycle outside it reaches it, which forces every terminal
+    component below that cycle into T.  So the components below each
+    non-terminal cycle join one block, and the atoms are the blocks' W_T.  A
+    T-atom is a block of one exitless cycle with no cycle above it, so
+    finitary, and W_T is its double annihilator.
     """
     cond = condensation(g)
     blocks = [1 << i for i in range(len(cond.terminal))]
@@ -188,152 +201,136 @@ def _guard(g: Graph, max_vertices: int) -> None:
         )
 
 
-def _byte_tables(values: list, empty=0) -> list[list]:
-    """For each 8 vertices, the union (|) of their values over every byte."""
-    tables = []
-    for start in range(0, len(values), 8):
-        chunk = values[start : start + 8]
-        table = [empty] * (1 << len(chunk))
-        for b in range(1, len(table)):
-            table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _or_over(tables: list[list], w: int, out=0):
-    for table in tables:
-        out |= table[w & 0xFF]
-        w >>= 8
-    return out
-
-
-class _Bits:
-    """Vertex subsets of g as int bitmasks, bit i for g.vertices[i].  The
-    ancestor masks come from one pass over the condensation, parents first;
-    reach(w) and the successors of w then cost one lookup per 8 vertices."""
-
-    def __init__(self, g: Graph):
-        self.bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-        self.full = (1 << len(g.vertices)) - 1
-        cond = condensation(g)
-        anc: dict[str, int] = {}
-        for comp in reversed(cond.components):
-            m = self.mask(comp)
-            for v in comp:
-                for e in g.in_edges(v):
-                    m |= anc.get(e.src, 0)
-            anc.update(dict.fromkeys(comp, m))
-        self.reach = _byte_tables([anc[v] for v in g.vertices])
-        self.succ = _byte_tables([self.mask(e.dst for e in g.out_edges(v)) for v in g.vertices])
-        self.names = _byte_tables([frozenset((v,)) for v in g.vertices], frozenset())
-        self.cyclic = self.mask(cond.cyclic)
-
-    def mask(self, w) -> int:
-        out = 0
-        for v in w:
-            out |= self.bit[v]
-        return out
-
-    def members(self, w: int) -> VertexSet:
-        return _or_over(self.names, w, frozenset())
-
-    def ann(self, w: int) -> int:
-        return self.full ^ _or_over(self.reach, w)
-
-
 def finitary_annihilator_lattice(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> FinitaryLattice:
-    """List the finitary double annihilators, then verify the Boolean
-    closure properties.  Each element is the join of the atoms below it:
-    the double annihilator of their union, as the annihilator of a union is
-    the intersection of the annihilators.  There are 2^(number of atoms)
-    elements, each listed and checked on vertex bitmasks in a few table
-    lookups; max_vertices bounds that by 2^|V|.
-    """
+    """List the finitary double annihilators as the sets W_S of the module
+    docstring, once _verify_atoms has certified the atoms: each atom left
+    out of S takes R_a away.  There are 2^(number of atoms) elements, one
+    set difference each; max_vertices bounds that by 2^|V|."""
     _guard(g, max_vertices)
     found = lattice_atoms(g)
-    bits = _Bits(g)
-    atoms = [bits.mask(a) for a, _ in found]
-    unions = [0]
-    for a in atoms:
-        unions += [u | a for u in unions]
-    elements = [bits.ann(bits.ann(u)) for u in unions]
-    _verify_lattice(bits, elements, atoms)
-    return FinitaryLattice(
-        tuple(sorted(map(bits.members, elements), key=set_sort_key)),
-        tuple(a for a, _ in found),
-        tuple(c for _, c in found),
-    )
-
-
-_PAIRWISE_VERIFY_CAP = 512
-
-
-def _verify_lattice(bits: _Bits, elements: list[int], atoms: list[int]) -> None:
-    """Assert the closure properties the rest of the computation relies on.
-
-    Each element must be hereditary, annihilator-closed and finitary (see
-    the module docstring), with its complement, the annihilator, present.
-    Meet and join closure is checked over all pairs up to a size cap; past
-    it (degenerate graphs whose lattice is the whole powerset) meets are
-    checked against the atoms and joins over atom pairs, keeping the cost
-    linear in the lattice.
-    """
-    present = set(elements)
-    joined = elements if len(elements) <= _PAIRWISE_VERIFY_CAP else atoms
-    ann = {w: bits.ann(w) for w in elements}
-    for w, a in ann.items():
-        fault = (
-            "is not hereditary" if _or_over(bits.succ, w) & ~w
-            else "is not annihilator-closed" if bits.ann(a) != w
-            else "is not finitary" if (bits.full ^ a) & ~w & bits.cyclic
-            else "has no complement" if a not in present
-            else None
-        )
-        if fault:
-            raise RuntimeError(f"internal inconsistency: {sorted(bits.members(w))} {fault}")
-    for x, y in product(elements, joined):
-        if x & y not in present:
-            raise _missing(bits, "meet", x, y)
-    for x, y in product(joined, repeat=2):
-        # an atom met with the top is an element, so in ann
-        if bits.ann(ann[x] & ann[y]) not in present:
-            raise _missing(bits, "join", x, y)
-
-
-def _missing(bits: _Bits, kind: str, x: int, y: int) -> RuntimeError:
-    x, y = sorted(bits.members(x)), sorted(bits.members(y))
-    return RuntimeError(f"internal inconsistency: {kind} of {x} and {y} missing")
+    if not _verify_atoms(g, found):
+        raise RuntimeError("internal inconsistency: the lattice atoms fail their certificate")
+    below = condensation(g).below
+    elements = [g.vertex_set]
+    for atom, _ in found:
+        block = 0
+        for v in atom:
+            block |= below[v]
+        reached = frozenset(v for v, m in below.items() if m & block)
+        elements += [w - reached for w in elements]
+    elements.sort(key=set_sort_key)
+    return FinitaryLattice(tuple(elements), tuple(a for a, _ in found), tuple(c for _, c in found))
 
 
 def _verify_atoms(g: Graph, atoms) -> bool:
-    """Certify (atom, cycle) pairs for what the center uses: nonempty,
-    annihilator-closed, finitary, minimal, pairwise disjoint atoms whose
-    union has an empty annihilator, and a cycle exactly on the atoms that
-    are double annihilators of finitary exitless cycles, one atom per such
-    cycle.
+    """Certify (atom, cycle) pairs as the atoms of the finitary lattice, with
+    the exitless cycle of each T-atom and None for a C-atom, in one O(V + E)
+    pass over the condensation that trusts none of it.
 
-    An annihilator-closed A is W_T, the vertices whose terminal components
-    (the one-bit masks in A) all lie in T; a smaller nonempty element is W_X
-    for some X ⊊ T, Y = T - X.  A is minimal iff the below masks of its
-    cyclic vertices connect T.  If they do, one meets X and Y, so its cycle
-    lies outside W_X and reaches it: W_X is not finitary.  If no mask
-    crosses a split, W_X is finitary: a cycle outside W_X that reaches it
-    would cross the split inside A, or lie outside the finitary A.
+    Tarjan's output: the components partition the vertices, each is strongly
+    connected (a forward and a backward search inside it reach all of it),
+    and every edge stays in its component or enters an earlier one.  So no
+    cycle crosses two components: they are the strongly connected
+    components, children first, and one pass in that order must give back
+    terminal, below, cyclic and cycle_masks.
+
+    The atoms, T_A the terminal components inside atom A (W_T as in the
+    module docstring), are nonempty and pairwise disjoint, and:
+    - Labels, children first: a terminal component takes its atom (it must
+      lie in one), any other the common label of its out-neighbours, or
+      MIXED if they differ.  So v is labelled A iff below(v) ⊆ T_A, and each
+      vertex must carry its own atom's label, or MIXED outside every atom:
+      A = W_{T_A} = A''.  The T_A partition the terminal components, so the
+      union of the atoms has the annihilator W of none, which is empty.
+    - Every cyclic vertex lies in an atom.  One in atom B ≠ A has below in
+      T_B, so it cannot reach A, all of whose vertices reach T_A: every atom
+      is finitary.  One in no atom reaches an atom, which is not finitary.
+    - The cycle masks join each T_A into one union-find class.  The nonempty
+      elements below A are the W_X, X ⊆ T_A.  As every cycle that reaches A
+      lies in A, W_X for X ≠ T_A is not finitary iff some cycle mask meets X
+      and T_A - X.  So A is minimal iff T_A is one class.
+    - A carries a cycle iff T_A is one exitless cycle C and no other vertex
+      of A is cyclic.  Every cyclic vertex that reaches C lies in A, so C is
+      finitary iff none lies outside C; then C'' = W_{C} is a nonempty
+      finitary element below A, so A by minimality, and conversely.
     """
-    finitary = [c for c in ne_cycles(g) if is_finitary(g, c.vertex_set(g))]
-    cycle_of = {double_annihilator(g, c.vertex_set(g)): c for c in finitary}
-    below, cyclic = condensation(g).below, condensation(g).cyclic
-    union: VertexSet = frozenset()
-    for atom, cycle in atoms:
-        if not atom or atom & union or double_annihilator(g, atom) != atom:
+    cond = condensation(g)
+    comps, below = cond.components, cond.below
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    atoms = list(atoms)
+    atom_of = {v: k for k, (atom, _) in enumerate(atoms) for v in atom}
+    if (
+        sum(map(len, comps)) != len(comp_of) or comp_of.keys() != g.vertex_set or len(below) != len(comp_of)
+        or not all(comps) or not all(atom for atom, _ in atoms)
+        or len(atom_of) != sum(len(atom) for atom, _ in atoms) or not atom_of.keys() <= comp_of.keys()
+    ):
+        return False
+    mixed, labels, terminal, cycle_masks, cyclic = -1, [], [], set(), set()
+    cyclic_in = [0] * len(atoms)
+    steps = (lambda v: [e.dst for e in g.out_edges(v)], lambda v: [e.src for e in g.in_edges(v)])
+    for i, comp in enumerate(comps):
+        for step in steps:
+            seen, todo = {comp[0]}, [comp[0]]
+            while todo:
+                for w in step(todo.pop()):
+                    if w not in seen and comp_of[w] == i:
+                        seen.add(w)
+                        todo.append(w)
+            if len(seen) != len(comp):
+                return False
+        mask, below_labels, loop = 0, set(), False
+        for v in comp:
+            for e in g.out_edges(v):
+                j = comp_of[e.dst]
+                if j > i:
+                    return False
+                if j < i:
+                    mask |= below[e.dst]
+                    below_labels.add(labels[j])
+                loop = loop or e.dst == v
+        exits, on_cycle = bool(below_labels), len(comp) > 1 or loop
+        if exits:
+            label = below_labels.pop() if len(below_labels) == 1 else mixed
+        else:
+            label, mask = atom_of.get(comp[0], mixed), 1 << len(terminal)
+            terminal.append(comp)
+        if label == mixed and (on_cycle or not exits):
             return False
-        blocks = {m for m in map(below.get, atom) if not m & (m - 1)}
-        for mask in {below[v] for v in atom if v in cyclic}:
-            blocks = {b for b in blocks if not b & mask} | {sum(b for b in blocks if b & mask)}
-        if not is_finitary(g, atom) or cycle_of.get(atom) != cycle or len(blocks) != 1:
+        if on_cycle:
+            cyclic_in[label] += len(comp)
+            cyclic.update(comp)
+            if exits:
+                cycle_masks.add(mask)
+        labels.append(label)
+        if any(atom_of.get(v, mixed) != label or below.get(v) != mask for v in comp):
             return False
-        union |= atom
-    return not annihilator(g, union) and sum(c is not None for _, c in atoms) == len(finitary)
+    if tuple(terminal) != cond.terminal or cycle_masks != cond.cycle_masks or cyclic != cond.cyclic:
+        return False
+    parent = list(range(len(terminal)))
+
+    def root(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    for mask in cycle_masks:
+        top = root(mask.bit_length() - 1)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            parent[root(low.bit_length() - 1)] = top
+    owned: list[list] = [[] for _ in atoms]
+    for t, comp in enumerate(terminal):
+        owned[atom_of[comp[0]]].append((root(t), comp))
+    exitless = {c.vertices(g)[0]: c for c in ne_cycles(g)}
+    for (_, cycle), own, cyclic_count in zip(atoms, owned, cyclic_in):
+        if len({r for r, _ in own}) != 1:
+            return False
+        first = own[0][1]
+        carries = len(own) == 1 and cyclic_count == len(first)
+        if cycle != (exitless.get(min(first)) if carries else None):
+            return False
+    return True
 
 
 def classify_atom(g: Graph, atom) -> Cycle | None:

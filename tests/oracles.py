@@ -7,11 +7,14 @@ finitary lattice by a sweep over all 2^|V| vertex subsets.  None of it
 shares code with the package under test, except that the exitless-cycle
 scan filters the package's all-cycles search, which shares nothing with the
 condensation it is compared against.  Beside the sweep sit the set-based
-lattice listing and its closure checks, which the bitmask listing replaced;
-they share the package's atoms and its set-valued annihilators.  The cycle
-search within a vertex set tries every vertex of the graph as a root, as
-find_cycle_within did before it rooted only in the set; the exits of a
-cycle scan every edge of the graph, and the lattice atoms scan every
+lattice listing and its closure checks, which the bitmask listing replaced,
+and that bitmask listing's own run-time closure checks, which the proof in
+the hereditary module replaced; they share the package's atoms and its
+annihilators.  The set-walk atom certificate, which the one pass over the
+condensation replaced, shares the package's annihilators and finitariness.
+The cycle search within a vertex set tries every vertex of the graph as a
+root, as find_cycle_within did before it rooted only in the set; the exits
+of a cycle scan every edge of the graph, and the lattice atoms scan every
 vertex once per block, as the package did before it visited only the
 cycle's out-edges and placed each vertex in one pass.
 
@@ -60,7 +63,6 @@ from ckcenter.algebra import AlgebraElement, Monomial, cycle_rotations, is_centr
 from ckcenter.center import _refines, _trie
 from ckcenter.graphs import GraphError, Path, VertexSet, canonical_cycle, is_hereditary, set_sort_key
 from ckcenter.hereditary import (
-    _PAIRWISE_VERIFY_CAP,
     DEFAULT_MAX_VERTICES,
     FinitaryLattice,
     _guard,
@@ -280,6 +282,125 @@ def oracle_verify_lattice(g: Graph, elements: list[VertexSet], atoms: list[Verte
             raise RuntimeError(
                 f"internal inconsistency: join of {sorted(w1)} and {sorted(w2)} missing"
             )
+
+
+def oracle_verify_atoms(g: Graph, atoms) -> bool:
+    """The set-walk atom certificate that the one-pass _verify_atoms
+    replaced: nonempty, annihilator-closed, finitary, minimal, pairwise
+    disjoint atoms whose union has an empty annihilator, and a cycle exactly
+    on the atoms that are double annihilators of finitary exitless cycles,
+    one atom per such cycle.  Minimality merges the one-bit below masks of
+    each atom along the below masks of its cyclic vertices into one block.
+    It trusts the condensation's below and cyclic."""
+    finitary = [c for c in ne_cycles(g) if is_finitary(g, c.vertex_set(g))]
+    cycle_of = {double_annihilator(g, c.vertex_set(g)): c for c in finitary}
+    below, cyclic = condensation(g).below, condensation(g).cyclic
+    union: VertexSet = frozenset()
+    for atom, cycle in atoms:
+        if not atom or atom & union or double_annihilator(g, atom) != atom:
+            return False
+        blocks = {m for m in map(below.get, atom) if not m & (m - 1)}
+        for mask in {below[v] for v in atom if v in cyclic}:
+            blocks = {b for b in blocks if not b & mask} | {sum(b for b in blocks if b & mask)}
+        if not is_finitary(g, atom) or cycle_of.get(atom) != cycle or len(blocks) != 1:
+            return False
+        union |= atom
+    return not annihilator(g, union) and sum(c is not None for _, c in atoms) == len(finitary)
+
+
+_PAIRWISE_VERIFY_CAP = 512
+
+
+def _byte_tables(values: list, empty=0) -> list[list]:
+    """For each 8 vertices, the union (|) of their values over every byte."""
+    tables = []
+    for start in range(0, len(values), 8):
+        chunk = values[start : start + 8]
+        table = [empty] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _or_over(tables: list[list], w: int, out=0):
+    for table in tables:
+        out |= table[w & 0xFF]
+        w >>= 8
+    return out
+
+
+class _Bits:
+    """Vertex subsets of g as int bitmasks, bit i for g.vertices[i], as the
+    lattice listing kept them before it listed sets off the below masks.
+    The ancestor masks come from one pass over the condensation, parents
+    first; reach(w) and the successors of w then cost one lookup per 8
+    vertices."""
+
+    def __init__(self, g: Graph):
+        self.bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+        self.full = (1 << len(g.vertices)) - 1
+        cond = condensation(g)
+        anc: dict[str, int] = {}
+        for comp in reversed(cond.components):
+            m = self.mask(comp)
+            for v in comp:
+                for e in g.in_edges(v):
+                    m |= anc.get(e.src, 0)
+            anc.update(dict.fromkeys(comp, m))
+        self.reach = _byte_tables([anc[v] for v in g.vertices])
+        self.succ = _byte_tables([self.mask(e.dst for e in g.out_edges(v)) for v in g.vertices])
+        self.names = _byte_tables([frozenset((v,)) for v in g.vertices], frozenset())
+        self.cyclic = self.mask(cond.cyclic)
+
+    def mask(self, w) -> int:
+        out = 0
+        for v in w:
+            out |= self.bit[v]
+        return out
+
+    def members(self, w: int) -> VertexSet:
+        return _or_over(self.names, w, frozenset())
+
+    def ann(self, w: int) -> int:
+        return self.full ^ _or_over(self.reach, w)
+
+
+def _verify_lattice(bits: _Bits, elements: list[int], atoms: list[int]) -> None:
+    """The runtime closure checks of the bitmask listing, which the proof in
+    the hereditary module docstring replaced.
+
+    Each element must be hereditary, annihilator-closed and finitary, with
+    its complement, the annihilator, present.  Meet and join closure is
+    checked over all pairs up to a size cap; past it (degenerate graphs
+    whose lattice is the whole powerset) meets are checked against the
+    atoms and joins over atom pairs, keeping the cost linear in the lattice.
+    """
+    present = set(elements)
+    joined = elements if len(elements) <= _PAIRWISE_VERIFY_CAP else atoms
+    ann = {w: bits.ann(w) for w in elements}
+    for w, a in ann.items():
+        fault = (
+            "is not hereditary" if _or_over(bits.succ, w) & ~w
+            else "is not annihilator-closed" if bits.ann(a) != w
+            else "is not finitary" if (bits.full ^ a) & ~w & bits.cyclic
+            else "has no complement" if a not in present
+            else None
+        )
+        if fault:
+            raise RuntimeError(f"internal inconsistency: {sorted(bits.members(w))} {fault}")
+    for x, y in product(elements, joined):
+        if x & y not in present:
+            raise _missing(bits, "meet", x, y)
+    for x, y in product(joined, repeat=2):
+        # an atom met with the top is an element, so in ann
+        if bits.ann(ann[x] & ann[y]) not in present:
+            raise _missing(bits, "join", x, y)
+
+
+def _missing(bits: _Bits, kind: str, x: int, y: int) -> RuntimeError:
+    x, y = sorted(bits.members(x)), sorted(bits.members(y))
+    return RuntimeError(f"internal inconsistency: {kind} of {x} and {y} missing")
 
 
 def oracle_ne_cycles(g: Graph) -> list[Cycle]:

@@ -15,7 +15,9 @@ from ckcenter import (
     central_idempotent,
     compute_center,
     conjugated_cycle_power,
+    condensation,
     cycles,
+    finitary_annihilator_lattice,
     format_element,
     generators,
     is_central,
@@ -28,7 +30,7 @@ from ckcenter.algebra import AlgebraElement, Monomial
 from ckcenter.center import _kind_rule, _labelled_trie, _refines, _trie, _verify
 from ckcenter.hereditary import _verify_atoms, double_annihilator, path_sort_key
 from ckcenter.cli import main
-from ckcenter.graphs import Path
+from ckcenter.graphs import Condensation, Path
 
 from conftest import cycle_graph
 from oracles import (
@@ -40,6 +42,7 @@ from oracles import (
     oracle_prefix_free,
     oracle_rotation_is_unit,
     oracle_verify,
+    oracle_verify_atoms,
 )
 
 
@@ -431,6 +434,119 @@ def test_center_refuses_merged_atoms(monkeypatch):
         assert not _verify_atoms(g, [(g.vertex_set, None)])
         with pytest.raises(RuntimeError, match="certificate"):
             compute_center(g)
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive_corpus", "wide_random_graphs"])
+def test_one_pass_certificate_agrees_with_set_walks(corpus, request):
+    """The one-pass certificate gives the set walks' verdict on the true
+    atoms, on every mutant and on every merged pair."""
+    verdicts = Counter()
+    for g in request.getfixturevalue(corpus):
+        atoms = lattice_atoms(g)
+        cases = [atoms] + [m for _, m in _atom_mutants(g, atoms)] + list(_merged_pairs(g, atoms))
+        for case in cases:
+            verdict = _verify_atoms(g, case)
+            assert verdict == oracle_verify_atoms(g, case), (g.edges, case)
+            verdicts[verdict] += 1
+    assert verdicts[True] == len(request.getfixturevalue(corpus)) and verdicts[False] > 1000, verdicts
+
+
+def _filled(g: Graph, comps) -> Condensation:
+    """A condensation of g with the components comps and the other fields as
+    one pass over them fills them in: the components no edge leaves are
+    terminal, in list order, each vertex's below mask is that of the terminal
+    components its component reaches in the graph of the components, and a
+    component is cyclic when it has two vertices or a loop."""
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    succ = [{comp_of[e.dst] for v in comp for e in g.out_edges(v)} - {i} for i, comp in enumerate(comps)]
+    terminal = tuple(comp for comp, out in zip(comps, succ) if not out)
+    bit = {comp: 1 << k for k, comp in enumerate(terminal)}
+    below, cycle_masks, cyclic = {}, set(), set()
+    for i, comp in enumerate(comps):
+        seen, todo, mask = {i}, [i], 0
+        while todo:
+            j = todo.pop()
+            mask |= bit.get(comps[j], 0)
+            todo += succ[j] - seen
+            seen |= succ[j]
+        below.update(dict.fromkeys(comp, mask))
+        if len(comp) > 1 or any(e.dst == comp[0] for e in g.out_edges(comp[0])):
+            cyclic.update(comp)
+            if succ[i]:
+                cycle_masks.add(mask)
+    return Condensation(terminal, below, frozenset(cycle_masks), tuple(comps), frozenset(cyclic))
+
+
+def _corrupted(g: Graph):
+    """(kind, condensation) for each way the certificate must refuse a
+    condensation that is not Tarjan's.  The other fields are filled in as one
+    pass over the corrupted components would fill them, so that only the
+    strong connectivity check refuses a merge, and only the edge order check
+    a swap or a split."""
+    cond = condensation(g)
+    comps = list(cond.components)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    for i in range(1, len(comps)):
+        if any(comp_of[e.dst] == i - 1 for v in comps[i] for e in g.out_edges(v)):
+            swapped = comps[: i - 1] + [comps[i], comps[i - 1]] + comps[i + 1 :]
+            yield "swapped across an edge", cond._replace(components=tuple(swapped))
+            merged = comps[: i - 1] + [comps[i - 1] + comps[i]] + comps[i + 1 :]
+            yield "merged with one it reaches", _filled(g, merged)
+    for i, comp in enumerate(comps):
+        if len(comp) > 1 and any(comp_of[e.dst] != i for v in comp for e in g.out_edges(v)):
+            yield "split in two", _filled(g, comps[:i] + [comp[1:], comp[:1]] + comps[i + 1 :])
+        if comp[0] in cond.cyclic and comp not in cond.terminal:
+            bit = 1 << len(cond.terminal)
+            below = {**cond.below, **{v: cond.below[v] | bit for v in comp}}
+            yield "spurious terminal bit", cond._replace(terminal=cond.terminal + (comp,), below=below)
+    for v in g.vertices:
+        if v not in cond.cyclic:
+            yield "non-cyclic vertex made cyclic", cond._replace(cyclic=cond.cyclic | {v})
+    for mask in cond.cycle_masks:
+        yield "cycle mask dropped", cond._replace(cycle_masks=cond.cycle_masks - {mask})
+
+
+def test_corrupted_condensations_are_refused(exhaustive_corpus, wide_random_graphs):
+    seen = Counter()
+    for g in list(exhaustive_corpus) + list(wide_random_graphs):
+        for kind, bad in _corrupted(g):
+            for run in (compute_center, finitary_annihilator_lattice):
+                copy = Graph(g.vertices, g.edges)
+                copy.__dict__["_condensation"] = bad
+                with pytest.raises(RuntimeError, match="internal inconsistency"):
+                    run(copy)
+            seen[kind] += 1
+    assert len(seen) == 6 and min(seen.values()) > 10, seen
+
+
+def _planted_cycles(k: int) -> Graph:
+    """k exitless 3-cycles, each fed by one vertex of its own."""
+    verts, edges = [], []
+    for i in range(k):
+        verts += [f"f{i}", f"a{i}", f"b{i}", f"c{i}"]
+        edges += [(f"in{i}", f"f{i}", f"a{i}"), (f"ab{i}", f"a{i}", f"b{i}"),
+                  (f"bc{i}", f"b{i}", f"c{i}"), (f"ca{i}", f"c{i}", f"a{i}")]
+    return Graph(verts, edges)
+
+
+def test_center_and_lattice_walk_no_sets(monkeypatch, exhaustive_corpus, wide_random_graphs):
+    """Neither compute_center nor the lattice listing calls the set walks:
+    the atom certificate and the listing read only the condensation."""
+    import ckcenter.hereditary
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set walk was called")
+
+    for name in ("annihilator", "double_annihilator", "is_finitary"):
+        monkeypatch.setattr(ckcenter.hereditary, name, refuse)
+    chain = Graph([f"v{i}" for i in range(3000)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(2999)])
+    for g in list(exhaustive_corpus) + list(wide_random_graphs) + [chain]:
+        n = len(g.vertices)
+        assert compute_center(g, max_vertices=n).verified, g.edges
+        lat = finitary_annihilator_lattice(g, max_vertices=n)
+        assert lat.atoms == tuple(a for a, _ in lattice_atoms(g)), g.edges
+    report = compute_center(_planted_cycles(1000), max_vertices=4000)
+    assert report.summand_description() == "C^0 x T^1000" and report.verified
 
 
 # ---------------------------------------------------------------------------

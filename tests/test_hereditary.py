@@ -19,7 +19,7 @@ from ckcenter import (
     lattice_atoms,
     ne_cycles,
 )
-from ckcenter.hereditary import _PAIRWISE_VERIFY_CAP, _Bits, _verify_lattice
+from oracles import _PAIRWISE_VERIFY_CAP, _Bits, _verify_lattice
 
 from oracles import (
     all_subsets,
